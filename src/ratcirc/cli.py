@@ -7,7 +7,8 @@ Subcommands:
 * ``export-dot`` - Hasse diagram of the derived lattice or its poset
 
 Exit codes: 0 success, 1 internal inconsistency (pipeline and oracle
-disagree), 2 invalid or non-rational input, 3 resource bound exceeded.
+disagree), 2 invalid or non-rational input, 3 resource bound exceeded
+(a declared bound, or memory running out).
 JSON output is byte-deterministic for a fixed request.
 """
 from __future__ import annotations
@@ -317,6 +318,9 @@ def main(argv=None) -> int:
         return 2
     except BoundExceededError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"error: out of memory in {args.command} for n={args.n}", file=sys.stderr)
         return 3
     except InternalConsistencyError as e:
         print(f"internal error: {e}", file=sys.stderr)

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .arith import factored_mul, factored_pow, factorial_factored, factored_value
 from .errors import BoundExceededError, InternalConsistencyError
 from .lattice import DivisorLattice
@@ -67,31 +69,36 @@ def gwp_generators(
 
     One generator per (coordinate i, ancestor pattern u, adjacent swap k):
     it swaps the values k and k+1 in coordinate i exactly on the points
-    whose ancestor projection equals u.
+    whose ancestor projection equals u.  Each image is written directly from
+    the strides: the swapped points are lo + f and lo + f + stride_i, where
+    lo encodes u and k and f runs over the offsets of the other coordinates.
     """
     n = p.total
     if n > max_degree:
         raise BoundExceededError(f"degree {n} exceeds bound {max_degree}")
     weights = p.weights
     strides = _strides(weights)
-    points = list(product(*(range(w) for w in weights)))
-    encode = {t: sum(x * s for x, s in zip(t, strides)) for t in points}
 
     gens: list[Perm] = []
     for i in range(p.size):
         anc = sorted(p.up_set(i))
-        patterns = list(product(*(range(weights[j]) for j in anc)))
-        for u in patterns:
+        free = [j for j in range(p.size) if j != i and j not in anc]
+        # offsets of the points that agree on coordinate i and the ancestors
+        offsets = [
+            sum(x * strides[j] for x, j in zip(t, free))
+            for t in product(*(range(weights[j]) for j in free))
+        ]
+        si = strides[i]
+        for u in product(*(range(weights[j]) for j in anc)):
+            start = sum(x * strides[j] for x, j in zip(u, anc))
             for k in range(weights[i] - 1):
+                lo = start + k * si
                 image = list(range(n))
-                for t in points:
-                    if tuple(t[j] for j in anc) != u:
-                        continue
-                    if t[i] == k or t[i] == k + 1:
-                        swapped = list(t)
-                        swapped[i] = 2 * k + 1 - t[i]
-                        image[encode[t]] = encode[tuple(swapped)]
-                gens.append(Perm(image))
+                for f in offsets:
+                    image[lo + f] = lo + f + si
+                    image[lo + f + si] = lo + f
+                # disjoint transpositions, a permutation by construction
+                gens.append(Perm._unchecked(tuple(image)))
     return gens
 
 
@@ -119,18 +126,42 @@ def transport(
         out.append(Perm(image))
 
     if verify:
-        lat = poset_to_lattice(p)
-        basic = sring.basic_sets_from_lattice(lat).ring.basic_sets
-        for g in out:
-            for t in basic:
-                for x in range(n):
-                    gx = g.image[x]
-                    for s in t:
-                        if (g.image[(x + s) % n] - gx) % n not in t:
-                            raise InternalConsistencyError(
-                                f"transported generator {g} breaks the basic graph of {sorted(t)}"
-                            )
+        ring = sring.basic_sets_from_lattice(poset_to_lattice(p)).ring
+        _check_basic_graphs(out, ring)
     return out
+
+
+def _check_basic_graphs(perms, ring: sring.SchurRing) -> None:
+    """Raise unless every permutation is an automorphism of every basic Cayley graph.
+
+    g preserves the graph of each basic set exactly when
+    class(g(y) - g(x)) == class(y - x) for all x, y.  Pairs of fixed points
+    satisfy this trivially, so only the rows and columns of g's support are
+    compared.  The error names the first basic set, in ring order, whose
+    graph g breaks.
+    """
+    n = ring.n
+    cls = np.array(ring.class_index(), dtype=np.int32)
+    points = np.arange(n, dtype=np.int32)
+    for g in perms:
+        img = np.array(g.image, dtype=np.int32)
+        support = np.flatnonzero(img != points)
+        if not support.size:
+            continue
+        # row k, column y: differences from x = support[k] to y
+        moved = (img[None, :] - img[support, None]) % n
+        fixed = (points[None, :] - support[:, None]) % n
+        broken = []
+        for sign in (1, -1):  # x in the support, then y in the support
+            want = cls[(sign * fixed) % n]
+            bad = cls[(sign * moved) % n] != want
+            if bad.any():
+                broken.append(int(want[bad].min()))
+        if broken:
+            t = ring.basic_sets[min(broken)]
+            raise InternalConsistencyError(
+                f"transported generator {g} breaks the basic graph of {sorted(t)}"
+            )
 
 
 @dataclass(frozen=True)

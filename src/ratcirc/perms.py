@@ -8,10 +8,30 @@ safe to share (build-then-freeze).
 """
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .arith import factored_mul, factorize
 from .errors import BoundExceededError
 
 DEFAULT_MAX_TWO_ORBIT_DEGREE = 200
+
+
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of a followed by b: x -> b[a[x]]."""
+    if len(a) < 2:  # itemgetter of one index returns a bare item
+        return tuple(b[x] for x in a)
+    return itemgetter(*a)(b)
+
+
+def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(a)
+    for x, y in enumerate(a):
+        inv[y] = x
+    return tuple(inv)
+
+
+def _first_moved(a: tuple[int, ...]) -> int:
+    return next(x for x, y in enumerate(a) if x != y)
 
 
 class Perm:
@@ -64,15 +84,10 @@ class Perm:
     def __mul__(self, other: "Perm") -> "Perm":
         if len(self.image) != len(other.image):
             raise ValueError("degree mismatch")
-        o = other.image
-        return Perm._unchecked(tuple(o[x] for x in self.image))
+        return Perm._unchecked(_compose(self.image, other.image))
 
     def inverse(self) -> "Perm":
-        img = self.image
-        inv = [0] * len(img)
-        for x, y in enumerate(img):
-            inv[y] = x
-        return Perm._unchecked(tuple(inv))
+        return Perm._unchecked(_invert(self.image))
 
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self.image))
@@ -108,6 +123,127 @@ class Perm:
         return f"Perm({body})"
 
 
+class _Level:
+    """One level of the stabilizer chain.
+
+    ``inverse[p]`` is the image tuple of u_p^-1, where the coset
+    representative u_p maps the base point ``point`` to p.  The orbit only
+    grows, in discovery order (``points``), and a representative never
+    changes once set.  ``paired[k]`` counts the level generators whose
+    Schreier generator with ``points[k]`` has been sifted; no position
+    before ``pending`` has an unsifted pair.
+    """
+
+    __slots__ = ("point", "gens", "inverse", "points", "paired", "pending")
+
+    def __init__(self, point: int, identity: tuple[int, ...]) -> None:
+        self.point = point
+        self.gens: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.inverse = {point: identity}
+        self.points = [point]
+        self.paired = [0]
+        self.pending = 0
+
+    def add_generator(self, g: tuple[int, ...], g_inv: tuple[int, ...]) -> None:
+        """Append g and extend the orbit in place to stay closed."""
+        self.gens.append((g, g_inv))
+        self.pending = 0
+        inverse, points, paired = self.inverse, self.points, self.paired
+
+        def reach(p: int, s: tuple[int, ...], s_inv: tuple[int, ...]) -> None:
+            q = s[p]
+            if q not in inverse:
+                inverse[q] = _compose(s_inv, inverse[p])  # (u_p s)^-1
+                points.append(q)
+                paired.append(0)
+
+        old = len(points)
+        for k in range(old):
+            reach(points[k], g, g_inv)
+        k = old
+        while k < len(points):
+            for s, s_inv in self.gens:
+                reach(points[k], s, s_inv)
+            k += 1
+
+
+# Deterministic incremental Schreier-Sims (Seress, Permutation Group
+# Algorithms, ch. 4).  A new base point is the least point the residue
+# moves.  Each Schreier generator u_p s u_{s(p)}^-1 is sifted once: the
+# per-point counters remember which pairs are done, and a level is only
+# revisited for the pairs that a new generator or orbit point added.
+
+
+def _strip(
+    levels: list[_Level], h: tuple[int, ...], start: int
+) -> tuple[tuple[int, ...], int]:
+    """Residue of h after levels start.., and the level where it stopped."""
+    for i in range(start, len(levels)):
+        lv = levels[i]
+        p = h[lv.point]
+        if p != lv.point:
+            u_inv = lv.inverse.get(p)
+            if u_inv is None:
+                return h, i
+            h = _compose(h, u_inv)
+    return h, len(levels)
+
+
+def _sift_level(levels: list[_Level], i: int, identity: tuple[int, ...]) -> int | None:
+    """Sift the unsifted Schreier generators of level i.
+
+    Returns None when all of them sift to the identity.  Otherwise the
+    first nontrivial residue becomes a strong generator of levels i+1
+    through the level where it stopped, which is returned.
+    """
+    lv = levels[i]
+    gens, inverse, points, paired = lv.gens, lv.inverse, lv.points, lv.paired
+    for k in range(lv.pending, len(points)):
+        if paired[k] == len(gens):
+            continue
+        p = points[k]
+        u = _invert(inverse[p])
+        for j in range(paired[k], len(gens)):
+            s = gens[j][0]
+            paired[k] = j + 1
+            schreier = _compose(_compose(u, s), inverse[s[p]])
+            if schreier == identity:
+                continue
+            h, depth = _strip(levels, schreier, i + 1)
+            if h == identity:
+                continue
+            lv.pending = k
+            if depth == len(levels):
+                levels.append(_Level(_first_moved(h), identity))
+            h_inv = _invert(h)
+            for level in levels[i + 1 : depth + 1]:
+                level.add_generator(h, h_inv)
+            return depth
+    lv.pending = len(points)
+    return None
+
+
+def _schreier_sims(degree: int, generators) -> list[_Level]:
+    """Complete stabilizer chain of the group the non-identity generators span."""
+    identity = tuple(range(degree))
+    levels: list[_Level] = []
+    strong = [(g.image, _invert(g.image)) for g in generators]
+    for g, _ in strong:
+        if all(g[lv.point] == lv.point for lv in levels):
+            levels.append(_Level(_first_moved(g), identity))
+    for g, g_inv in strong:
+        for lv in levels:
+            lv.add_generator(g, g_inv)
+            if g[lv.point] != lv.point:
+                break
+
+    i = len(levels) - 1
+    while i >= 0:
+        grown = _sift_level(levels, i, identity)
+        i = i - 1 if grown is None else grown
+    return levels
+
+
 class PermutationGroup:
     """Group generated by permutations, with a lazy stabilizer chain."""
 
@@ -118,95 +254,21 @@ class PermutationGroup:
                 raise ValueError(f"generator degree {g.degree} != {degree}")
         self.degree = degree
         self.generators = tuple(g for g in gens if not g.is_identity())
-        self._base: list[int] | None = None
-        self._strong: list[Perm] | None = None
-        self._orbits: list[dict[int, Perm]] | None = None
-
-    # -- stabilizer chain ------------------------------------------------
-
-    def _gens_at(self, level: int) -> list[Perm]:
-        base, strong = self._base, self._strong
-        return [g for g in strong if all(g.image[base[k]] == base[k] for k in range(level))]
-
-    def _orbit_transversal(self, level: int) -> dict[int, Perm]:
-        b = self._base[level]
-        gens = self._gens_at(level)
-        orb = {b: Perm.identity(self.degree)}
-        stack = [b]
-        while stack:
-            p = stack.pop()
-            u = orb[p]
-            for s in gens:
-                q = s.image[p]
-                if q not in orb:
-                    orb[q] = u * s
-                    stack.append(q)
-        return orb
-
-    def _strip(self, g: Perm, start: int) -> tuple[Perm, int]:
-        h = g
-        for i in range(start, len(self._base)):
-            p = h.image[self._base[i]]
-            u = self._orbits[i].get(p)
-            if u is None:
-                return h, i
-            h = h * u.inverse()
-        return h, len(self._base)
+        self._levels: list[_Level] | None = None
 
     def _ensure_chain(self) -> None:
-        if self._orbits is not None:
-            return
-        self._base, self._strong = [], []
-
-        def cover(g: Perm) -> None:
-            if all(g.image[b] == b for b in self._base):
-                self._base.append(min(x for x in range(self.degree) if g.image[x] != x))
-
-        for g in self.generators:
-            cover(g)
-            self._strong.append(g)
-
-        self._orbits = [self._orbit_transversal(i) for i in range(len(self._base))]
-
-        i = len(self._base) - 1
-        while i >= 0:
-            clean = True
-            orb = self._orbits[i]
-            gens = self._gens_at(i)
-            for p in sorted(orb):
-                u_p = orb[p]
-                for s in gens:
-                    q = s.image[p]
-                    schreier = u_p * s * orb[q].inverse()
-                    if schreier.is_identity():
-                        continue
-                    h, j = self._strip(schreier, i + 1)
-                    if h.is_identity():
-                        continue
-                    if j == len(self._base):
-                        self._base.append(
-                            min(x for x in range(self.degree) if h.image[x] != x)
-                        )
-                        self._orbits.append({})
-                    self._strong.append(h)
-                    for l in range(i + 1, j + 1):
-                        self._orbits[l] = self._orbit_transversal(l)
-                    i, clean = j, False
-                    break
-                if not clean:
-                    break
-            if clean:
-                i -= 1
+        if self._levels is None:
+            self._levels = _schreier_sims(self.degree, self.generators)
 
     # -- queries ---------------------------------------------------------
 
     def base(self) -> tuple[int, ...]:
         self._ensure_chain()
-        return tuple(self._base)
+        return tuple(lv.point for lv in self._levels)
 
     def basic_orbit_lengths(self) -> tuple[int, ...]:
         self._ensure_chain()
-        return tuple(len(o) for o in self._orbits)
+        return tuple(len(lv.points) for lv in self._levels)
 
     def order(self) -> int:
         n = 1
@@ -225,7 +287,7 @@ class PermutationGroup:
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
         self._ensure_chain()
-        return self._strip(g, 0)[0]
+        return Perm._unchecked(_strip(self._levels, g.image, 0)[0])
 
     def __contains__(self, g: Perm) -> bool:
         return self.sift(g).is_identity()

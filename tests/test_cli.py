@@ -52,6 +52,20 @@ class TestAnalyze:
         assert code == 3
         assert "bound" in err
 
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch):
+        from ratcirc import sring
+
+        def exhausted(n, s):
+            raise MemoryError
+
+        monkeypatch.setattr(sring, "generate_sring", exhausted)
+        code, out, err = run(capsys, "analyze", "30000", "--set", "1,29999")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_spectrum_flag(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "6", "--set", "1,5", "--spectrum", "--format", "json"

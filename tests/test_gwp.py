@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +22,46 @@ from ratcirc import (
     trivial_lattice,
 )
 from ratcirc.arith import factored_value
-from ratcirc.gwp import gwp_exponents
+from ratcirc.gwp import _strides, gwp_exponents
+from ratcirc.posets import poset_to_lattice, weak_iso_map
+from ratcirc.sring import basic_sets_from_lattice
+
+
+def scan_generators(p):
+    """Reference for gwp_generators: scan all n points for every generator."""
+    n, weights = p.total, p.weights
+    strides = _strides(weights)
+    points = list(product(*(range(w) for w in weights)))
+    encode = {t: sum(x * s for x, s in zip(t, strides)) for t in points}
+    gens = []
+    for i in range(p.size):
+        anc = sorted(p.up_set(i))
+        for u in product(*(range(weights[j]) for j in anc)):
+            for k in range(weights[i] - 1):
+                image = list(range(n))
+                for t in points:
+                    if tuple(t[j] for j in anc) == u and t[i] in (k, k + 1):
+                        swapped = list(t)
+                        swapped[i] = 2 * k + 1 - t[i]
+                        image[encode[t]] = encode[tuple(swapped)]
+                gens.append(Perm(image))
+    return gens
+
+
+def first_broken_basic_set(g, p):
+    """Reference for transport's check: the scalar loop over every basic set.
+
+    Returns the first basic set, in ring order, whose Cayley graph g does not
+    preserve, or None when g is an automorphism of all of them.
+    """
+    n = p.total
+    for t in basic_sets_from_lattice(poset_to_lattice(p)).ring.basic_sets:
+        for x in range(n):
+            gx = g.image[x]
+            for s in t:
+                if (g.image[(x + s) % n] - gx) % n not in t:
+                    return t
+    return None
 
 
 class TestGwpOrder:
@@ -76,6 +117,12 @@ class TestGwpGenerators:
                 G = PermutationGroup(p.total, gwp_generators(p))
                 assert G.order_factored() == gwp_order(p), (n, lat.elements)
 
+    def test_stride_arithmetic_matches_scan(self):
+        for n in range(2, 41):
+            for lat in sublattices(n):
+                p = lattice_to_poset(lat)
+                assert gwp_generators(p) == scan_generators(p), (n, lat.elements)
+
     def test_antichain_two_orbit_count_general(self):
         for weights in [(2, 3), (2, 3, 5)]:
             p = antichain(weights)
@@ -122,6 +169,27 @@ class TestTransport:
 
         with pytest.raises(InternalConsistencyError):
             transport(bad, poset_n)  # a lone transposition is no automorphism
+
+
+    def test_verification_checks_every_support_row(self):
+        # On Z_6 with lattice {1, 2, 6}, (0 3)(1 2) preserves every pair at
+        # the rows of 0 and 3 and breaks the graph of {1,2,4,5} at 1 and 2.
+        p = lattice_to_poset(DivisorLattice(6, (1, 2, 6)))
+        tm = weak_iso_map(p)
+        strides = _strides(p.weights)
+        to_zn = {
+            sum(x * s for x, s in zip(t, strides)): tm.tuple_to_point(t)
+            for t in product(*(range(w) for w in p.weights))
+        }
+        from_zn = {v: k for k, v in to_zn.items()}
+        g = Perm((3, 2, 1, 0, 4, 5))
+        h = Perm([from_zn[g.image[to_zn[i]]] for i in range(6)])
+        assert transport([h], p, verify=False) == [g]
+        assert sorted(first_broken_basic_set(g, p)) == [1, 2, 4, 5]
+        from ratcirc import InternalConsistencyError
+
+        with pytest.raises(InternalConsistencyError, match=r"graph of \[1, 2, 4, 5\]$"):
+            transport([h], p)
 
 
 class TestBuildGwp:
@@ -174,3 +242,38 @@ def test_transported_group_preserves_all_basic_graphs(data):
     lat = data.draw(st.sampled_from(sublattices(n)))
     p = lattice_to_poset(lat)
     transport(gwp_generators(p), p, verify=True)  # raises on violation
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_vectorised_check_matches_scalar_reference(data):
+    n = data.draw(st.sampled_from([6, 8, 9, 12, 16, 18, 20, 24, 30, 36]))
+    p = lattice_to_poset(data.draw(st.sampled_from(sublattices(n))))
+    valid = gwp_generators(p, max_degree=n)
+    perms = data.draw(st.lists(st.sampled_from(valid), max_size=3))
+    for _ in range(data.draw(st.integers(0, 2))):
+        word = data.draw(st.lists(st.sampled_from(valid), min_size=1, max_size=4))
+        g = word[0]
+        for w in word[1:]:
+            g = g * w
+        perms.append(g)
+    if data.draw(st.booleans()):
+        a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        perms.append(Perm.transposition(n, a, b))
+    if data.draw(st.booleans()):
+        perms.append(Perm(data.draw(st.permutations(range(n)))))
+    perms = data.draw(st.permutations(perms))
+
+    broken = None
+    for g in transport(perms, p, verify=False):
+        broken = first_broken_basic_set(g, p)
+        if broken is not None:
+            break
+    if broken is None:
+        transport(perms, p, verify=True)
+    else:
+        from ratcirc import InternalConsistencyError
+
+        with pytest.raises(InternalConsistencyError) as err:
+            transport(perms, p, verify=True)
+        assert str(err.value).endswith(f"breaks the basic graph of {sorted(broken)}")

@@ -3,7 +3,18 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratcirc import BoundExceededError, Perm, PermutationGroup, is_subgroup_of
+from ratcirc import (
+    BoundExceededError,
+    Perm,
+    PermutationGroup,
+    gwp_generators,
+    gwp_order,
+    is_subgroup_of,
+    lattice_to_poset,
+    sublattices,
+    transport,
+)
+from ratcirc.arith import factored_value
 
 
 class TestPerm:
@@ -121,6 +132,36 @@ class TestGroupOrder:
         for w in word[1:]:
             g = g * w
         assert g in G
+
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_membership_matches_sympy(self, data):
+        from sympy.combinatorics import Permutation as SymPerm
+        from sympy.combinatorics import PermutationGroup as SymGroup
+
+        n = data.draw(st.integers(min_value=2, max_value=9))
+        gens = [
+            data.draw(st.permutations(list(range(n))))
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        g = data.draw(st.permutations(list(range(n))))
+        ours = Perm(g) in PermutationGroup(n, [Perm(h) for h in gens])
+        theirs = SymGroup([SymPerm(list(h)) for h in gens]).contains(SymPerm(list(g)))
+        assert ours == theirs
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_transported_gwp_chain(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=40))
+        p = lattice_to_poset(data.draw(st.sampled_from(sublattices(n))))
+        gens = transport(gwp_generators(p), p, verify=False)
+        G = PermutationGroup(n, gens)
+        product = 1
+        for length in G.basic_orbit_lengths():
+            product *= length
+        assert product == factored_value(gwp_order(p))
+        assert all(G.sift(g).is_identity() for g in gens)
 
 
 class TestMembership:
