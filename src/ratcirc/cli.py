@@ -81,15 +81,16 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
     n = req.n
     connection = req.connection_set()
     ring = sring.generate_sring(n, connection)
-    if not sring.is_rational(ring):
+    try:
+        lat = sring.group_basis(ring).lattice
+    except NotRationalError:
         offender = min(
             x for x in connection if not sring.trace(n, {x}) <= connection
         )
         tr = sorted(sring.trace(n, {offender}))
         raise NotRationalError(
             f"not rational: trace of {{{offender}}} is {{{','.join(map(str, tr))}}}"
-        )
-    lat = sring.group_basis(ring).lattice
+        ) from None
     poset = lattice_to_poset(lat)
     order = gwp_order(poset)
     expr = render_group_expression(poset)
@@ -250,9 +251,10 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     )
     connection = req.connection_set()
     ring = sring.generate_sring(n, connection)
-    if not sring.is_rational(ring):
-        raise NotRationalError("dot export needs a rational connection set")
-    lat = sring.group_basis(ring).lattice
+    try:
+        lat = sring.group_basis(ring).lattice
+    except NotRationalError:
+        raise NotRationalError("dot export needs a rational connection set") from None
     if args.poset:
         sys.stdout.write(lattice_to_poset(lat).to_dot())
     else:

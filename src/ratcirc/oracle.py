@@ -393,9 +393,10 @@ class VerifyReport:
 def pipeline_order(n: int, connection) -> tuple[DivisorLattice, dict[int, int]]:
     """Lattice and factored group order for a rational connection set."""
     ring = sring.generate_sring(n, connection)
-    if not sring.is_rational(ring):
-        raise NotRationalError(f"connection set is not rational over Z_{n}")
-    lat = sring.group_basis(ring).lattice
+    try:
+        lat = sring.group_basis(ring).lattice
+    except NotRationalError:
+        raise NotRationalError(f"connection set is not rational over Z_{n}") from None
     return lat, gwp_order(lattice_to_poset(lat))
 
 

@@ -4,8 +4,8 @@ A Schur ring is a partition of Z_n whose classes contain {0}, are closed
 under negation as a family, and whose pairwise convolutions are constant
 on every class.  ``generate_sring`` computes the smallest such partition
 containing a given subset by fingerprint stabilization: classes are
-repeatedly split by their exact convolution counts against every ordered
-class pair until nothing moves.  Rational rings are the ones whose
+repeatedly split by their exact convolution counts against every class
+pair until nothing moves.  Rational rings are the ones whose
 classes are unions of the multiplicative orbits {x : gcd(x, n) = d};
 those are classified by divisor lattices, and both directions of that
 dictionary live here.
@@ -41,9 +41,14 @@ def units(n: int) -> tuple[int, ...]:
 
 
 def trace(n: int, s) -> frozenset[int]:
-    """Union of all unit multiples mS; always a union of orbit sets."""
-    s = frozenset(x % n for x in s)
-    return frozenset((m * x) % n for m in units(n) for x in s)
+    """Union of all unit multiples mS; always a union of orbit sets.
+
+    The units act transitively on each orbit {x : gcd(x, n) = d}, so the
+    trace is the union of the orbits that meet s, found in one pass over
+    Z_n with O(n + |s|) gcds.
+    """
+    gcds = {math.gcd(x, n) for x in s}
+    return frozenset(x for x in range(n) if math.gcd(x, n) in gcds)
 
 
 def is_trace_closed(n: int, s) -> bool:
@@ -111,14 +116,16 @@ class SchurRing:
         self.structure_constants()
 
     def to_json_dict(self) -> dict:
-        rational = is_rational(self)
-        basis = group_basis(self).lattice.elements if rational else None
+        try:
+            basis = list(group_basis(self).lattice.elements)
+        except NotRationalError:
+            basis = None
         return {
             "n": self.n,
             "rank": self.rank,
             "basic_sets": [sorted(t) for t in self.basic_sets],
-            "rational": rational,
-            "group_basis": list(basis) if basis is not None else None,
+            "rational": basis is not None,
+            "group_basis": basis,
         }
 
 
@@ -126,8 +133,10 @@ def generate_sring(n: int, s) -> SchurRing:
     """Basic sets of the smallest Schur ring over Z_n containing the subset s.
 
     Starts from the splitting induced by {0}, s and -s, then refines by
-    exact convolution fingerprints (counts of x = a + b per ordered class
-    pair, plus the class of -x) until the partition is stable.
+    exact convolution fingerprints (the class of -x, and the number of
+    ways x = a + b for each unordered class pair) until the partition is
+    stable.  Each round numbers the distinct fingerprints by an exact
+    lexicographic sort of their columns.
     """
     if n < 1:
         raise ValueError("modulus must be positive")
@@ -148,21 +157,40 @@ def generate_sring(n: int, s) -> SchurRing:
         k = int(labels.max()) + 1
         idx = [np.flatnonzero(labels == a) for a in range(k)]
         cols = [labels, labels[neg]]
+        # Addition commutes, so the column of (b, a) equals that of (a, b).
         for a in range(k):
-            for b in range(k):
-                sums = (idx[a][:, None] + idx[b][None, :]).ravel() % n
-                cols.append(np.bincount(sums, minlength=n))
-        fingerprints = np.stack(cols, axis=1)
-        _, new_labels = np.unique(fingerprints, axis=0, return_inverse=True)
+            for b in range(a, k):
+                sums = np.add.outer(idx[a], idx[b]).ravel()
+                # a + b < 2n: count both laps, then fold the second onto the first.
+                counts = np.bincount(sums, minlength=2 * n)
+                cols.append(counts[:n] + counts[n:])
+        new_labels = _number_rows(cols)
         if int(new_labels.max()) + 1 == k:
             break
-        labels = new_labels.astype(np.int64)
+        labels = new_labels
 
     by_label: dict[int, list[int]] = {}
     for x in range(n):
         by_label.setdefault(int(labels[x]), []).append(x)
     classes = sorted((frozenset(v) for v in by_label.values()), key=min)
     return SchurRing(n, tuple(classes))
+
+
+def _number_rows(cols: list[np.ndarray]) -> np.ndarray:
+    """Number the distinct rows of the matrix whose columns are ``cols``.
+
+    Sorts the rows lexicographically (``lexsort`` takes its primary key
+    last), then starts a new number wherever a row differs from the one
+    before it in that order; equal rows get equal numbers.
+    """
+    order = np.lexsort(cols[::-1])
+    changed = np.zeros(len(order), dtype=bool)
+    for col in cols:
+        ranked = col[order]
+        changed[1:] |= ranked[1:] != ranked[:-1]
+    labels = np.empty(len(order), dtype=np.int64)
+    labels[order] = np.cumsum(changed)
+    return labels
 
 
 def is_rational(ring: SchurRing) -> bool:
@@ -181,8 +209,9 @@ class RationalSRing:
 def group_basis(ring: SchurRing) -> RationalSRing:
     """Extract the divisor lattice {l : Z_l is a union of basic sets}.
 
-    Defined for rational rings only; the reconstruction from the lattice is
-    cross-checked before returning.
+    Defined for rational rings only, and the one place a caller needs to
+    check rationality: raises ``NotRationalError`` otherwise.  The
+    reconstruction from the lattice is cross-checked before returning.
     """
     if not is_rational(ring):
         raise NotRationalError("group basis exists only for rational Schur rings")
@@ -207,11 +236,10 @@ def basic_sets_from_lattice(lat: DivisorLattice) -> RationalSRing:
     if not lat.is_unital:
         raise ValueError("lattice must contain 1")
     n = lat.modulus
+    owner = {o: min(l for l in lat.elements if l % o == 0) for o in divisors(n)}
     classes: dict[int, set[int]] = {l: set() for l in lat.elements}
     for x in range(n):
-        o = n // math.gcd(x, n)
-        l = min(l for l in lat.elements if l % o == 0)
-        classes[l].add(x)
+        classes[owner[n // math.gcd(x, n)]].add(x)
     parts = sorted((frozenset(v) for v in classes.values()), key=min)
     ring = SchurRing(n, tuple(parts))
     return RationalSRing(ring, lat)

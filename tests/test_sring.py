@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratcirc import (
     DivisorLattice,
     NotRationalError,
+    SchurRing,
     basic_sets_from_lattice,
     divisors,
     generate_sring,
@@ -19,6 +21,42 @@ from ratcirc import (
     trace,
     trivial_lattice,
 )
+
+
+def reference_trace(n, s):
+    """The definition: every unit multiple m*x of every x in s."""
+    s = frozenset(x % n for x in s)
+    units = [m for m in range(n) if math.gcd(m, n) == 1]
+    return frozenset((m * x) % n for m in units for x in s)
+
+
+def reference_generate_sring(n, s):
+    """Refinement by all ordered class pairs, rows numbered by np.unique(axis=0)."""
+    s = frozenset(x % n for x in s)
+    if n == 1:
+        return SchurRing(1, (frozenset({0}),))
+    key_to_label = {}
+    labels = np.empty(n, dtype=np.int64)
+    for x in range(n):
+        key = (x == 0, x in s, (-x) % n in s)
+        labels[x] = key_to_label.setdefault(key, len(key_to_label))
+    neg = (-np.arange(n)) % n
+    while True:
+        k = int(labels.max()) + 1
+        idx = [np.flatnonzero(labels == a) for a in range(k)]
+        cols = [labels, labels[neg]]
+        for a in range(k):
+            for b in range(k):
+                sums = (idx[a][:, None] + idx[b][None, :]).ravel() % n
+                cols.append(np.bincount(sums, minlength=n))
+        _, new_labels = np.unique(np.stack(cols, axis=1), axis=0, return_inverse=True)
+        if int(new_labels.max()) + 1 == k:
+            break
+        labels = new_labels.reshape(n).astype(np.int64)
+    by_label = {}
+    for x in range(n):
+        by_label.setdefault(int(labels[x]), []).append(x)
+    return SchurRing(n, tuple(sorted((frozenset(v) for v in by_label.values()), key=min)))
 
 
 def union_of_orbits(n, ds):
@@ -73,6 +111,28 @@ class TestTrace:
         assert trace(n, t) == t
         for x in t:
             assert orbit_set(n, math.gcd(x, n)) <= t
+
+
+class TestAgainstReferences:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_trace_and_ring_match_references(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=60), label="n")
+        s = frozenset(data.draw(st.lists(st.integers(-n, 2 * n), max_size=8), label="s"))
+        # Arbitrary subsets give fine, non-rational rings; their traces rational ones.
+        if data.draw(st.booleans(), label="close"):
+            s = reference_trace(n, s)
+        assert trace(n, s) == reference_trace(n, s)
+        assert generate_sring(n, s) == reference_generate_sring(n, s)
+
+    def test_pinned_2520_lattice(self, bench_workloads):
+        # The analyze-large request with the 33-member lattice.
+        (req,) = [r for r in bench_workloads.WORKLOADS["analyze-large"].requests if r.n == 2520]
+        ring = generate_sring(2520, union_of_orbits(2520, req.divisors))
+        lat = group_basis(ring).lattice
+        assert len(lat) == 33
+        assert list(lat.elements) == req.expected["lattice"]
+        assert ring.rank == req.expected["rank"]
 
 
 class TestGenerateSRing:
