@@ -36,6 +36,7 @@ from .sring import (
     is_rational,
     is_trace_closed,
     orbit_set,
+    orbit_union,
     subgroup,
     trace,
 )

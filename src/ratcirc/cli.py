@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from .arith import factored_str, factored_value
 from .errors import BoundExceededError, InternalConsistencyError, NotRationalError
 from .lattice import DivisorLattice
-from .posets import lattice_to_poset, weak_iso_map
+from .posets import weak_iso_map
 from .gwp import gwp_generators, gwp_order, render_group_expression, transport
-from .oracle import CirculantGraph, brute_force_aut, full_verify, spectrum
+from .oracle import CirculantGraph, brute_force_aut, full_verify, rational_chain, spectrum
 from . import sring
 
 _MAX_PLAIN_ORDER = 2 ** 63
@@ -53,12 +53,9 @@ class AnalysisRequest:
             if 0 in self.residues:
                 raise ValueError("loops are not supported: 0 in connection set")
             return self.residues
-        out: set[int] = set()
-        for d in self.divisor_subset:
-            if d == self.n:
-                raise ValueError("divisor n would add a loop; use proper divisors")
-            out |= sring.orbit_set(self.n, d)
-        return frozenset(out)
+        if self.n in self.divisor_subset:
+            raise ValueError("divisor n would add a loop; use proper divisors")
+        return sring.orbit_union(self.n, self.divisor_subset)
 
 
 def _parse_residues(n: int, text: str) -> frozenset[int]:
@@ -77,21 +74,23 @@ def _parse_divisors(n: int, text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _request(args: argparse.Namespace, **options) -> AnalysisRequest:
+    """The request named by --set or --divisors, with the given extra fields."""
+    n = args.n
+    return AnalysisRequest(
+        n=n,
+        residues=_parse_residues(n, args.set) if args.set is not None else None,
+        divisor_subset=_parse_divisors(n, args.divisors)
+        if args.divisors is not None
+        else None,
+        **options,
+    )
+
+
 def _analysis_payload(req: AnalysisRequest) -> dict:
     n = req.n
     connection = req.connection_set()
-    ring = sring.generate_sring(n, connection)
-    try:
-        lat = sring.group_basis(ring).lattice
-    except NotRationalError:
-        offender = min(
-            x for x in connection if not sring.trace(n, {x}) <= connection
-        )
-        tr = sorted(sring.trace(n, {offender}))
-        raise NotRationalError(
-            f"not rational: trace of {{{offender}}} is {{{','.join(map(str, tr))}}}"
-        ) from None
-    poset = lattice_to_poset(lat)
+    ring, lat, poset = rational_chain(n, connection)
     order = gwp_order(poset)
     expr = render_group_expression(poset)
 
@@ -194,13 +193,8 @@ def _dump_json(payload: dict) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    n = args.n
-    req = AnalysisRequest(
-        n=n,
-        residues=_parse_residues(n, args.set) if args.set is not None else None,
-        divisor_subset=_parse_divisors(n, args.divisors)
-        if args.divisors is not None
-        else None,
+    req = _request(
+        args,
         fmt=args.format,
         include_generators=args.generators,
         run_oracle=args.oracle,
@@ -211,7 +205,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if req.fmt == "json":
         sys.stdout.write(_dump_json(payload))
     elif req.fmt == "dot":
-        sys.stdout.write(DivisorLattice(n, tuple(payload["lattice"])).to_dot())
+        sys.stdout.write(DivisorLattice(req.n, tuple(payload["lattice"])).to_dot())
     else:
         sys.stdout.write(_analysis_text(payload))
     return 0
@@ -241,24 +235,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    n = args.n
-    req = AnalysisRequest(
-        n=n,
-        residues=_parse_residues(n, args.set) if args.set is not None else None,
-        divisor_subset=_parse_divisors(n, args.divisors)
-        if args.divisors is not None
-        else None,
-    )
-    connection = req.connection_set()
-    ring = sring.generate_sring(n, connection)
-    try:
-        lat = sring.group_basis(ring).lattice
-    except NotRationalError:
-        raise NotRationalError("dot export needs a rational connection set") from None
-    if args.poset:
-        sys.stdout.write(lattice_to_poset(lat).to_dot())
-    else:
-        sys.stdout.write(lat.to_dot())
+    req = _request(args)
+    _, lat, poset = rational_chain(req.n, req.connection_set())
+    sys.stdout.write(poset.to_dot() if args.poset else lat.to_dot())
     return 0
 
 

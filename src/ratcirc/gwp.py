@@ -27,6 +27,7 @@ from .lattice import DivisorLattice
 from .perms import Perm
 from .posets import (
     WeightedPoset,
+    _strides,
     find_n_subposet,
     poset_to_lattice,
     weak_iso_map,
@@ -53,13 +54,6 @@ def gwp_order(p: WeightedPoset) -> dict[int, int]:
     for w, m in zip(p.weights, gwp_exponents(p)):
         order = factored_mul(order, factored_pow(factorial_factored(w), m))
     return order
-
-
-def _strides(weights: tuple[int, ...]) -> tuple[int, ...]:
-    out = [1] * len(weights)
-    for i in range(len(weights) - 2, -1, -1):
-        out[i] = out[i + 1] * weights[i + 1]
-    return tuple(out)
 
 
 def gwp_generators(
@@ -111,13 +105,8 @@ def transport(
     automorphism of every basic Cayley graph of the poset's lattice; a
     failure means the pipeline is inconsistent and raises.
     """
-    tm = weak_iso_map(p)
+    to_zn = weak_iso_map(p).points
     n = p.total
-    strides = _strides(p.weights)
-    to_zn = [0] * n
-    for t in product(*(range(w) for w in p.weights)):
-        to_zn[sum(x * s for x, s in zip(t, strides))] = tm.tuple_to_point(t)
-
     out = []
     for g in tuple_gens:
         image = [0] * n

@@ -18,7 +18,7 @@ from .arith import moebius, totient
 from .errors import BoundExceededError, InternalConsistencyError, NotRationalError
 from .lattice import DivisorLattice, divisors, tau
 from .perms import Perm, PermutationGroup
-from .posets import lattice_to_poset
+from .posets import WeightedPoset, lattice_to_poset
 from .gwp import gwp_generators, gwp_order, transport
 from . import sring
 
@@ -324,16 +324,17 @@ def schurity_check(lat: DivisorLattice, max_degree: int = 200) -> bool:
 
 
 def rational_iso_test(n: int, s, r) -> bool:
-    """Isomorphism of two rational circulants: equality on every orbit set."""
+    """Isomorphism of two rational circulants: equality on every orbit set.
+
+    The orbits {x : gcd(x, n) = d}, d | n, partition Z_n, so that is set equality.
+    """
     s = frozenset(x % n for x in s)
     r = frozenset(x % n for x in r)
     if not sring.is_trace_closed(n, s) or not sring.is_trace_closed(n, r):
         raise NotRationalError(
             "isomorphism testing here covers trace-closed sets only"
         )
-    return all(
-        s & sring.orbit_set(n, d) == r & sring.orbit_set(n, d) for d in divisors(n)
-    )
+    return s == r
 
 
 def count_rational_circulants(n: int) -> int:
@@ -390,14 +391,30 @@ class VerifyReport:
         }
 
 
-def pipeline_order(n: int, connection) -> tuple[DivisorLattice, dict[int, int]]:
-    """Lattice and factored group order for a rational connection set."""
+def rational_chain(
+    n: int, connection
+) -> tuple[sring.SchurRing, DivisorLattice, WeightedPoset]:
+    """Schur ring, divisor lattice and weighted poset of a rational connection set.
+
+    Raises ``NotRationalError`` naming the least element whose trace leaves the set.
+    """
     ring = sring.generate_sring(n, connection)
     try:
         lat = sring.group_basis(ring).lattice
     except NotRationalError:
-        raise NotRationalError(f"connection set is not rational over Z_{n}") from None
-    return lat, gwp_order(lattice_to_poset(lat))
+        s = frozenset(x % n for x in connection)
+        offender = min(x for x in s if not sring.trace(n, {x}) <= s)
+        tr = sorted(sring.trace(n, {offender}))
+        raise NotRationalError(
+            f"not rational: trace of {{{offender}}} is {{{','.join(map(str, tr))}}}"
+        ) from None
+    return ring, lat, lattice_to_poset(lat)
+
+
+def pipeline_order(n: int, connection) -> tuple[DivisorLattice, dict[int, int]]:
+    """Lattice and factored group order for a rational connection set."""
+    _, lat, poset = rational_chain(n, connection)
+    return lat, gwp_order(poset)
 
 
 def full_verify(
@@ -418,9 +435,7 @@ def full_verify(
     records = []
     for k in range(len(proper) + 1):
         for subset in combinations(proper, k):
-            connection = frozenset().union(
-                *(sring.orbit_set(n, d) for d in subset)
-            ) if subset else frozenset()
+            connection = sring.orbit_union(n, subset)
             lat, order = pipeline_order(n, connection)
             poset = lattice_to_poset(lat)
             oracle_order = None

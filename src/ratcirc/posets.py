@@ -232,37 +232,46 @@ def lattice_to_poset(lat: DivisorLattice) -> WeightedPoset:
     )
 
 
+def _strides(weights: tuple[int, ...]) -> tuple[int, ...]:
+    """Mixed-radix place values of weight tuples: the last coordinate varies fastest."""
+    out = [1] * len(weights)
+    for i in range(len(weights) - 2, -1, -1):
+        out[i] = out[i + 1] * weights[i + 1]
+    return tuple(out)
+
+
 class TransportMap:
     """Bijection between weight tuples and Z_n given by the coefficient form.
 
     Coordinate i carries the coefficient prod of weights of all nodes not
     below-or-equal i; a tuple maps to the coefficient-weighted sum mod n.
-    Bijectivity is verified on construction.
+    ``points[k]`` is the image of the k-th tuple in mixed-radix order (the
+    order of ``_strides``).  Bijectivity is verified on construction.
     """
 
     def __init__(self, poset: WeightedPoset) -> None:
         self.poset = poset
-        self.n = poset.total
+        self.n = n = poset.total
         self.coefficients = tuple(
             complement_weight_product(poset, poset.down_set(i))
             for i in range(poset.size)
         )
-        self._forward: dict[tuple[int, ...], int] = {}
-        self._backward: dict[int, tuple[int, ...]] = {}
-        for t in product(*(range(w) for w in poset.weights)):
-            v = sum(c * x for c, x in zip(self.coefficients, t)) % self.n
-            self._forward[t] = v
-            self._backward[v] = t
-        if len(self._backward) != self.n:
+        points = [0]
+        for w, c in zip(poset.weights, self.coefficients):
+            points = [(v + c * x) % n for v in points for x in range(w)]
+        self.points = tuple(points)
+        self._index = dict(zip(points, range(n)))
+        if len(self._index) != n:
             raise InternalConsistencyError(
-                f"coefficient map {self.coefficients} is not a bijection mod {self.n}"
+                f"coefficient map {self.coefficients} is not a bijection mod {n}"
             )
 
     def tuple_to_point(self, t: tuple[int, ...]) -> int:
-        return self._forward[t]
+        return sum(c * x for c, x in zip(self.coefficients, t)) % self.n
 
     def point_to_tuple(self, v: int) -> tuple[int, ...]:
-        return self._backward[v % self.n]
+        k, ws = self._index[v % self.n], self.poset.weights
+        return tuple(k // s % w for s, w in zip(_strides(ws), ws))
 
 
 def weak_iso_map(p: WeightedPoset) -> TransportMap:
@@ -329,11 +338,11 @@ def poset_block_partition(p: WeightedPoset, j) -> PartitionOfZn:
     j = frozenset(j)
     if not all(p.up_set(i) <= j for i in j):
         raise ValueError(f"{sorted(j)} is not ancestral")
-    tm = weak_iso_map(p)
     blocks: dict[tuple[int, ...], set[int]] = {}
-    for t in product(*(range(w) for w in p.weights)):
+    tuples = product(*(range(w) for w in p.weights))
+    for t, v in zip(tuples, weak_iso_map(p).points):
         key = tuple(t[i] for i in sorted(j))
-        blocks.setdefault(key, set()).add(tm.tuple_to_point(t))
+        blocks.setdefault(key, set()).add(v)
     return PartitionOfZn.of(p.total, blocks.values())
 
 

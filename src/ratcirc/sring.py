@@ -21,11 +21,18 @@ from .errors import InternalConsistencyError, NotRationalError
 from .lattice import DivisorLattice, divisors
 
 
+def orbit_union(n: int, ds) -> frozenset[int]:
+    """Union of the orbits {x in Z_n : gcd(x, n) = d} over d in ds, in one pass over Z_n."""
+    ds = frozenset(ds)
+    for d in ds:
+        if n < 1 or d < 1 or n % d != 0:
+            raise ValueError(f"{d} does not divide {n}")
+    return frozenset(x for x in range(n) if math.gcd(x, n) in ds)
+
+
 def orbit_set(n: int, d: int) -> frozenset[int]:
     """The multiplicative-unit orbit {x in Z_n : gcd(x, n) = d}; needs d | n."""
-    if n < 1 or d < 1 or n % d != 0:
-        raise ValueError(f"{d} does not divide {n}")
-    return frozenset(x for x in range(n) if math.gcd(x, n) == d)
+    return orbit_union(n, (d,))
 
 
 def subgroup(n: int, order: int) -> frozenset[int]:
@@ -47,8 +54,7 @@ def trace(n: int, s) -> frozenset[int]:
     trace is the union of the orbits that meet s, found in one pass over
     Z_n with O(n + |s|) gcds.
     """
-    gcds = {math.gcd(x, n) for x in s}
-    return frozenset(x for x in range(n) if math.gcd(x, n) in gcds)
+    return orbit_union(n, {math.gcd(x, n) for x in s})
 
 
 def is_trace_closed(n: int, s) -> bool:

@@ -173,6 +173,23 @@ class TestExportDot:
         assert out.count("label=") == 4
 
 
+NON_RATIONAL_DIAGNOSTIC = "error: not rational: trace of {1} is {1,5,7,11}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "12", "--set", "1,2"),
+        ("export-dot", "12", "--set", "1,2"),
+        ("export-dot", "12", "--set", "1,2", "--poset"),
+    ],
+    ids=" ".join,
+)
+def test_non_rational_diagnostic_is_shared(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", NON_RATIONAL_DIAGNOSTIC)
+
+
 class TestRequestValidation:
     def test_needs_exactly_one_mode(self):
         with pytest.raises(ValueError):

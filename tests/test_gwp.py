@@ -22,8 +22,8 @@ from ratcirc import (
     trivial_lattice,
 )
 from ratcirc.arith import factored_value
-from ratcirc.gwp import _strides, gwp_exponents
-from ratcirc.posets import poset_to_lattice, weak_iso_map
+from ratcirc.gwp import gwp_exponents
+from ratcirc.posets import _strides, poset_to_lattice, weak_iso_map
 from ratcirc.sring import basic_sets_from_lattice
 
 
@@ -175,13 +175,8 @@ class TestTransport:
         # On Z_6 with lattice {1, 2, 6}, (0 3)(1 2) preserves every pair at
         # the rows of 0 and 3 and breaks the graph of {1,2,4,5} at 1 and 2.
         p = lattice_to_poset(DivisorLattice(6, (1, 2, 6)))
-        tm = weak_iso_map(p)
-        strides = _strides(p.weights)
-        to_zn = {
-            sum(x * s for x, s in zip(t, strides)): tm.tuple_to_point(t)
-            for t in product(*(range(w) for w in p.weights))
-        }
-        from_zn = {v: k for k, v in to_zn.items()}
+        to_zn = weak_iso_map(p).points
+        from_zn = {v: k for k, v in enumerate(to_zn)}
         g = Perm((3, 2, 1, 0, 4, 5))
         h = Perm([from_zn[g.image[to_zn[i]]] for i in range(6)])
         assert transport([h], p, verify=False) == [g]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from ratcirc import (
     divisors,
     full_verify,
     orbit_set,
+    orbit_union,
     pipeline_order,
     ramanujan_sum,
     rational_iso_test,
@@ -24,13 +26,6 @@ from ratcirc import (
     trivial_lattice,
 )
 from ratcirc.arith import factored_value
-
-
-def union_of_orbits(n, ds):
-    out = set()
-    for d in ds:
-        out |= orbit_set(n, d)
-    return frozenset(out)
 
 
 class TestCirculantGraph:
@@ -115,7 +110,7 @@ class TestSpectrum:
         assert not rep.exact and not rep.integral
 
     def test_exact_path_used_for_orbit_unions(self):
-        rep = spectrum(CirculantGraph.of(36, union_of_orbits(36, (6,))))
+        rep = spectrum(CirculantGraph.of(36, orbit_union(36, (6,))))
         assert rep.exact
         assert rep.values[0] == 2  # 2-regular union of 6-cycles
 
@@ -151,7 +146,7 @@ class TestSchurity:
 
 class TestRationalIso:
     def test_equal_sets(self):
-        s = union_of_orbits(12, (1, 3))
+        s = orbit_union(12, (1, 3))
         assert rational_iso_test(12, s, s)
 
     def test_different_orbits_of_6(self):
@@ -166,7 +161,7 @@ class TestRationalIso:
         for r in range(len(proper) + 1):
             subsets.extend(combinations(proper, r))
         for a, b in combinations(subsets, 2):
-            assert not rational_iso_test(n, union_of_orbits(n, a), union_of_orbits(n, b))
+            assert not rational_iso_test(n, orbit_union(n, a), orbit_union(n, b))
 
     def test_rejects_non_rational(self):
         with pytest.raises(NotRationalError):
@@ -197,13 +192,17 @@ class TestFullVerify:
         assert rep.all_match
 
     def test_striking_instance(self):
-        lat, order = pipeline_order(36, union_of_orbits(36, (2, 3, 4, 6)))
+        lat, order = pipeline_order(36, orbit_union(36, (2, 3, 4, 6)))
         assert lat.elements == (1, 2, 3, 4, 6, 12, 18, 36)
         assert order == {2: 11, 3: 4}
 
     def test_pipeline_rejects_non_rational(self):
         with pytest.raises(NotRationalError):
             pipeline_order(5, {1})
+        with pytest.raises(
+            NotRationalError, match=re.escape("not rational: trace of {1} is {1,5,7,11}")
+        ):
+            pipeline_order(12, {1, 2})
 
     def test_json_shape(self):
         rec = full_verify(4).records[1]
@@ -220,7 +219,7 @@ def test_oracle_vs_pipeline_on_random_rational_sets(data):
     n = data.draw(st.integers(min_value=2, max_value=16))
     proper = [d for d in divisors(n) if d != n]
     subset = data.draw(st.lists(st.sampled_from(proper), unique=True, max_size=4))
-    s = union_of_orbits(n, subset)
+    s = orbit_union(n, subset)
     _, order = pipeline_order(n, s)
     oracle = brute_force_aut(CirculantGraph.of(n, s)).order_factored()
     assert oracle == order

@@ -147,7 +147,12 @@ class TestWeakIsoMap:
     def test_bijective_for_all_small_posets(self):
         for n in range(2, 61):
             for lat in sublattices(n):
-                weak_iso_map(lattice_to_poset(lat))  # raises when not bijective
+                tm = weak_iso_map(lattice_to_poset(lat))  # raises when not bijective
+                tuples = product(*(range(w) for w in tm.poset.weights))
+                for k, t in enumerate(tuples):
+                    v = sum(c * x for c, x in zip(tm.coefficients, t)) % n
+                    assert tm.points[k] == v, (lat.elements, t)
+                    assert tm.point_to_tuple(v) == t
 
 
 class TestPosetBlockPartition:

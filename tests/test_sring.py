@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ratcirc import (
     is_rational,
     is_trace_closed,
     orbit_set,
+    orbit_union,
     subgroup,
     sublattices,
     trace,
@@ -59,13 +61,6 @@ def reference_generate_sring(n, s):
     return SchurRing(n, tuple(sorted((frozenset(v) for v in by_label.values()), key=min)))
 
 
-def union_of_orbits(n, ds):
-    out = set()
-    for d in ds:
-        out |= orbit_set(n, d)
-    return frozenset(out)
-
-
 class TestOrbitSet:
     def test_examples(self):
         assert orbit_set(36, 6) == {6, 30}
@@ -83,6 +78,17 @@ class TestOrbitSet:
         with pytest.raises(ValueError):
             orbit_set(6, 4)
 
+    def test_union_matches_per_divisor_orbit_sets(self):
+        for n in range(1, 61):
+            ds = divisors(n)
+            orbits = {d: orbit_set(n, d) for d in ds}
+            for k in range(len(ds) + 1):
+                for subset in combinations(ds, k):
+                    want = frozenset().union(*(orbits[d] for d in subset))
+                    assert orbit_union(n, subset) == want, (n, subset)
+        with pytest.raises(ValueError):
+            orbit_union(12, (2, 5))
+
     def test_orbits_partition_zn(self):
         for n in (1, 7, 24):
             assert sorted(x for d in divisors(n) for x in orbit_set(n, d)) == list(
@@ -98,7 +104,7 @@ class TestTrace:
         assert trace(36, {6}) == {6, 30}
 
     def test_striking_set_is_closed(self):
-        s = union_of_orbits(36, (2, 3, 4, 6))
+        s = orbit_union(36, (2, 3, 4, 6))
         assert trace(36, s) == s
         assert is_trace_closed(36, s)
 
@@ -128,7 +134,7 @@ class TestAgainstReferences:
     def test_pinned_2520_lattice(self, bench_workloads):
         # The analyze-large request with the 33-member lattice.
         (req,) = [r for r in bench_workloads.WORKLOADS["analyze-large"].requests if r.n == 2520]
-        ring = generate_sring(2520, union_of_orbits(2520, req.divisors))
+        ring = generate_sring(2520, orbit_union(2520, req.divisors))
         lat = group_basis(ring).lattice
         assert len(lat) == 33
         assert list(lat.elements) == req.expected["lattice"]
@@ -145,7 +151,7 @@ class TestGenerateSRing:
         assert ring.rank == 2
 
     def test_striking_rank_8(self):
-        ring = generate_sring(36, union_of_orbits(36, (2, 3, 4, 6)))
+        ring = generate_sring(36, orbit_union(36, (2, 3, 4, 6)))
         q = lambda d: orbit_set(36, d)
         expected = sorted(
             [
@@ -220,7 +226,7 @@ class TestGroupBasis:
         assert got.elements == (1, 10)
 
     def test_striking(self, striking_lattice):
-        ring = generate_sring(36, union_of_orbits(36, (2, 3, 4, 6)))
+        ring = generate_sring(36, orbit_union(36, (2, 3, 4, 6)))
         rs = group_basis(ring)
         assert rs.lattice == striking_lattice
         # the subgroup of order 18 stripped of smaller members is Q_2 u Q_4
@@ -247,7 +253,7 @@ class TestBasicSetsFromLattice:
 
     def test_striking(self, striking_lattice):
         rs = basic_sets_from_lattice(striking_lattice)
-        assert rs.ring == generate_sring(36, union_of_orbits(36, (2, 3, 4, 6)))
+        assert rs.ring == generate_sring(36, orbit_union(36, (2, 3, 4, 6)))
 
     def test_round_trip_up_to_30(self):
         for n in range(1, 31):
