@@ -16,7 +16,7 @@ import numpy as np
 
 from .arith import moebius, totient
 from .errors import BoundExceededError, InternalConsistencyError, NotRationalError
-from .lattice import DivisorLattice, divisors, tau
+from .lattice import DEFAULT_MAX_TAU, DivisorLattice, divisors, tau
 from .perms import Perm, PermutationGroup
 from .posets import WeightedPoset, lattice_to_poset
 from .gwp import gwp_generators, gwp_order, transport
@@ -425,10 +425,18 @@ def full_verify(
     """Run the pipeline over every divisor subset, comparing with brute force.
 
     Oracle comparison is skipped (match None) when n exceeds the brute
-    force bound, unless explicitly forced.
+    force bound, unless explicitly forced.  The 2^(tau(n) - 1) subsets are
+    bounded like ``sublattices``: tau(n) <= ``DEFAULT_MAX_TAU``, checked
+    before the first subset.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    t = tau(n)
+    if t > DEFAULT_MAX_TAU:
+        raise BoundExceededError(
+            f"instance too large: n={n} has {t} divisors, so {2 ** (t - 1)} divisor "
+            f"subsets (bound {2 ** (DEFAULT_MAX_TAU - 1)}, tau <= {DEFAULT_MAX_TAU})"
+        )
     if use_oracle is None:
         use_oracle = n <= max_oracle_n
     proper = [d for d in divisors(n) if d != n]

@@ -8,7 +8,10 @@ repeatedly split by their exact convolution counts against every class
 pair until nothing moves.  Rational rings are the ones whose
 classes are unions of the multiplicative orbits {x : gcd(x, n) = d};
 those are classified by divisor lattices, and both directions of that
-dictionary live here.
+dictionary live here.  A trace-closed subset (a union of those orbits)
+generates a rational ring, and ``generate_sring`` refines it on the tau(n)
+orbits, with a tau(n)^3 count tensor, instead of on the n points; other
+subsets are refined point by point.
 """
 from __future__ import annotations
 
@@ -17,17 +20,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import totient
 from .errors import InternalConsistencyError, NotRationalError
 from .lattice import DivisorLattice, divisors
 
 
 def orbit_union(n: int, ds) -> frozenset[int]:
-    """Union of the orbits {x in Z_n : gcd(x, n) = d} over d in ds, in one pass over Z_n."""
+    """Union of the orbits {x in Z_n : gcd(x, n) = d} over d in ds.
+
+    Each orbit is enumerated directly as d * (Z_{n/d})^*, so the union costs
+    the sum of n/d over d in ds in gcds (sigma(n) for all divisors), not n.
+    """
     ds = frozenset(ds)
     for d in ds:
         if n < 1 or d < 1 or n % d != 0:
             raise ValueError(f"{d} does not divide {n}")
-    return frozenset(x for x in range(n) if math.gcd(x, n) in ds)
+    out: list[int] = []
+    for d in ds:
+        out.extend(d * u for u in units(n // d))
+    return frozenset(out)
 
 
 def orbit_set(n: int, d: int) -> frozenset[int]:
@@ -51,8 +62,8 @@ def trace(n: int, s) -> frozenset[int]:
     """Union of all unit multiples mS; always a union of orbit sets.
 
     The units act transitively on each orbit {x : gcd(x, n) = d}, so the
-    trace is the union of the orbits that meet s, found in one pass over
-    Z_n with O(n + |s|) gcds.
+    trace is the union of the orbits that meet s: |s| gcds to find them,
+    and the sum of n/d over the orbits O_d met to enumerate them.
     """
     return orbit_union(n, {math.gcd(x, n) for x in s})
 
@@ -143,26 +154,56 @@ def generate_sring(n: int, s) -> SchurRing:
     ways x = a + b for each unordered class pair) until the partition is
     stable.  Each round numbers the distinct fingerprints by an exact
     lexicographic sort of their columns.
+
+    A trace-closed s is refined on the tau(n) orbits {x : gcd(x, n) = d}
+    instead of the n points (``_orbit_sring``); any other s point by point
+    (``_point_sring``).  Both give the same classes round by round.
     """
     if n < 1:
         raise ValueError("modulus must be positive")
     s = frozenset(x % n for x in s)
     if n == 1:
         return SchurRing(1, (frozenset({0}),))
+    # s lies in the orbits it meets, so it is their union iff the sizes agree.
+    # (Not ``trace``: that would build the union.)
+    if sum(totient(n // d) for d in {math.gcd(x, n) for x in s}) == len(s):
+        return _orbit_sring(n, s)
+    return _point_sring(n, s)
 
+
+def _initial_labels(n: int, s: frozenset[int], points) -> np.ndarray:
+    """Number the keys (x == 0, x in s, -x in s) of ``points`` in order of first appearance."""
     key_to_label: dict[tuple[bool, bool, bool], int] = {}
-    labels = np.empty(n, dtype=np.int64)
-    for x in range(n):
-        key = (x == 0, x in s, (-x) % n in s)
-        if key not in key_to_label:
-            key_to_label[key] = len(key_to_label)
-        labels[x] = key_to_label[key]
+    return np.array(
+        [key_to_label.setdefault((x == 0, x in s, (-x) % n in s), len(key_to_label))
+         for x in points],
+        dtype=np.int64,
+    )
 
-    neg = (-np.arange(n)) % n
+
+def _refine(labels: np.ndarray, pair_columns) -> np.ndarray:
+    """Split the classes of ``labels`` by fingerprint rows until none splits.
+
+    A node's row is its label followed by ``pair_columns(labels, k)`` for
+    the k current classes: the label of the node's negation, then for each
+    unordered class pair (a <= b, row-major) the number of ways to write
+    the node as a sum of an element of class a and one of class b.
+    """
     while True:
         k = int(labels.max()) + 1
+        new_labels = _number_rows([labels, *pair_columns(labels, k)])
+        if int(new_labels.max()) + 1 == k:
+            return labels
+        labels = new_labels
+
+
+def _point_sring(n: int, s: frozenset[int]) -> SchurRing:
+    """``generate_sring`` refined on all n points; s must be reduced mod n, n >= 2."""
+    neg = (-np.arange(n)) % n
+
+    def pair_columns(labels: np.ndarray, k: int) -> list[np.ndarray]:
         idx = [np.flatnonzero(labels == a) for a in range(k)]
-        cols = [labels, labels[neg]]
+        cols = [labels[neg]]
         # Addition commutes, so the column of (b, a) equals that of (a, b).
         for a in range(k):
             for b in range(a, k):
@@ -170,16 +211,58 @@ def generate_sring(n: int, s) -> SchurRing:
                 # a + b < 2n: count both laps, then fold the second onto the first.
                 counts = np.bincount(sums, minlength=2 * n)
                 cols.append(counts[:n] + counts[n:])
-        new_labels = _number_rows(cols)
-        if int(new_labels.max()) + 1 == k:
-            break
-        labels = new_labels
+        return cols
 
+    labels = _refine(_initial_labels(n, s, range(n)), pair_columns)
+    return SchurRing(n, tuple(frozenset(xs) for xs in _groups(range(n), labels)))
+
+
+def _orbit_sring(n: int, s: frozenset[int]) -> SchurRing:
+    """``generate_sring`` refined on the orbits O_d = {x : gcd(x, n) = d}.
+
+    s must be a union of orbits, reduced mod n, with n >= 2.  Multiplying
+    by a unit is an automorphism of (Z_n, +) that fixes s, so it maps each
+    class onto itself at every round: every class is a union of orbits, and
+    every point has the row of its orbit's least element.  Nodes are the
+    orbits in order of least element (0, then the proper divisors of n), so
+    the rows, their numbering and the classes are those of
+    ``_point_sring``.  Only the final classes touch all n points.
+    """
+    reps = sorted(d % n for d in divisors(n))
+    t = len(reps)
+    points = np.arange(n, dtype=np.int64)
+    node = np.searchsorted(reps, np.gcd(points, n) % n)
+    # counts[d, e, f] = #{u in O_d : reps[f] - u in O_e}, one bincount per f.
+    counts = np.empty((t, t, t), dtype=np.int64)
+    for f, x in enumerate(reps):
+        pairs = node * t + node[(x - points) % n]
+        counts[:, :, f] = np.bincount(pairs, minlength=t * t).reshape(t, t)
+
+    def pair_columns(labels: np.ndarray, k: int) -> list[np.ndarray]:
+        # by_class[a, b, f]: (u, v) in class a x class b with u + v = reps[f],
+        # a segment sum of counts over the orbits of each class, on both axes.
+        order = np.argsort(labels, kind="stable")
+        starts = np.searchsorted(labels[order], np.arange(k))
+        by_class = np.add.reduceat(
+            np.add.reduceat(counts[np.ix_(order, order)], starts, axis=0), starts, axis=1
+        )
+        a, b = np.triu_indices(k)
+        # Every orbit is closed under negation: the negation column is the label.
+        return [labels, *by_class[a, b]]
+
+    labels = _refine(_initial_labels(n, s, reps), pair_columns)
+    # A class's least element is its least representative: _groups orders them.
+    return SchurRing(n, tuple(
+        orbit_union(n, {math.gcd(x, n) for x in xs}) for xs in _groups(reps, labels)
+    ))
+
+
+def _groups(nodes, labels: np.ndarray) -> list[list[int]]:
+    """``nodes`` grouped by their labels, the groups ordered by least node."""
     by_label: dict[int, list[int]] = {}
-    for x in range(n):
-        by_label.setdefault(int(labels[x]), []).append(x)
-    classes = sorted((frozenset(v) for v in by_label.values()), key=min)
-    return SchurRing(n, tuple(classes))
+    for x, label in zip(nodes, labels.tolist()):
+        by_label.setdefault(label, []).append(x)
+    return sorted(by_label.values(), key=min)
 
 
 def _number_rows(cols: list[np.ndarray]) -> np.ndarray:

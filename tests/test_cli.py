@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +70,21 @@ class TestAnalyze:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_large_rational_modulus_under_address_space_cap(self, tmp_path):
+        # tau(55440) = 120; refined point by point this request runs out of
+        # memory under the 1.5 GiB address-space cap that bench/child.py sets.
+        repo = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, str(repo / "bench" / "child.py"), str(tmp_path / "report.json"), "run",
+             "analyze", "55440", "--divisors", "2,3,5,7,8,9,11", "--format", "json"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        payload = json.loads(done.stdout)
+        assert payload["rank"] == len(payload["lattice"])
+
     def test_spectrum_flag(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "6", "--set", "1,5", "--spectrum", "--format", "json"
@@ -132,6 +151,15 @@ class TestEnumerate:
         payload = json.loads(out)
         assert payload["all_match"] is True
         assert all(r["match"] is True for r in payload["records"])
+
+    def test_divisor_count_bound_exits_3(self, capsys):
+        code, out, err = run(capsys, "enumerate", "720")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: instance too large: n=720 has 30 divisors, so 536870912 divisor "
+            "subsets (bound 2048, tau <= 12)\n"
+        )
 
     def test_oracle_skip_note_above_bound(self, capsys):
         code, out, err = run(

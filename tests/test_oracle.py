@@ -204,6 +204,11 @@ class TestFullVerify:
         ):
             pipeline_order(12, {1, 2})
 
+    def test_divisor_count_bound(self):
+        # tau(720) = 30: 2^29 divisor subsets, refused before the first one.
+        with pytest.raises(BoundExceededError, match=re.escape("536870912 divisor subsets")):
+            full_verify(720)
+
     def test_json_shape(self):
         rec = full_verify(4).records[1]
         d = rec.to_json_dict()

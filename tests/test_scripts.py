@@ -21,13 +21,24 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("argv", sorted(RUNS), ids=lambda argv: argv[0])
-def test_script_runs(argv):
+def run_script(argv) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(REPO / "scripts" / argv[0]), *argv[1:]],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("argv", sorted(RUNS), ids=lambda argv: argv[0])
+def test_script_runs(argv):
+    done = run_script(argv)
     assert done.returncode == 0, done.stderr
     assert re.fullmatch(RUNS[argv], done.stdout.splitlines()[-1])
+
+
+def test_full_verify_skips_moduli_over_the_divisor_bound():
+    # tau(120) = 16: 32768 divisor subsets, over the bound of 2048.
+    done = run_script(("full_verify.py", "119", "120"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1].startswith("n=120: skipped, instance too large")

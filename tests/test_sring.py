@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from ratcirc import sring
 from ratcirc import (
     DivisorLattice,
     NotRationalError,
@@ -139,6 +142,38 @@ class TestAgainstReferences:
         assert len(lat) == 33
         assert list(lat.elements) == req.expected["lattice"]
         assert ring.rank == req.expected["rank"]
+
+
+class TestOrbitPath:
+    def test_orbit_path_matches_point_path_on_every_divisor_subset(self):
+        for n in range(2, 41):
+            ds = divisors(n)
+            for k in range(len(ds) + 1):
+                for subset in combinations(ds, k):
+                    s = orbit_union(n, subset)
+                    want = sring._point_sring(n, s)
+                    assert sring._orbit_sring(n, s) == want, (n, subset)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_non_trace_closed_input_takes_the_point_path(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=60), label="n")
+        s = frozenset(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8), label="s"))
+        assume(reference_trace(n, s) != s)
+        with mock.patch.object(sring, "_orbit_sring", side_effect=AssertionError("orbit path")):
+            assert generate_sring(n, s) == reference_generate_sring(n, s)
+
+    def test_trace_closed_input_stays_small(self):
+        # The point path peaks at about 126 MiB here: its largest outer sum.
+        s = orbit_union(5040, (2, 3, 5, 7, 8, 9))
+        tracemalloc.start()
+        try:
+            ring = generate_sring(5040, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ring.rank == 41
+        assert peak < 16 << 20
 
 
 class TestGenerateSRing:
