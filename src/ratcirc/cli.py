@@ -189,7 +189,41 @@ def _analysis_text(payload: dict) -> str:
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, byte for byte.
+
+    Given an indent, ``json`` uses its pure-Python encoder, so the layout is
+    written here: a list of plain ints is joined directly, and every other
+    leaf goes through ``json.dumps``.
+    """
+    parts: list[str] = []
+    _write_json(payload, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, parts: list[str]) -> None:
+    """Append the JSON of ``value`` to ``parts``, nested at the indent ``newline`` ends with."""
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)) and value:
+        if all(type(x) is int for x in value):
+            parts.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for x in value:
+            parts.append(sep)
+            _write_json(x, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict) and value and all(type(k) is str for k in value):
+        sep = "{" + inner
+        for key in sorted(value):
+            parts.append(sep + json.dumps(key) + ": ")
+            _write_json(value[key], inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        # A scalar, an empty container, or a dict with keys json must convert.
+        parts.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

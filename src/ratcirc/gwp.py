@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from .arith import factored_mul, factored_pow, factorial_factored, factored_value
 from .errors import BoundExceededError, InternalConsistencyError
 from .lattice import DivisorLattice
@@ -129,6 +127,8 @@ def _check_basic_graphs(perms, ring: sring.SchurRing) -> None:
     compared.  The error names the first basic set, in ring order, whose
     graph g breaks.
     """
+    import numpy as np
+
     n = ring.n
     cls = np.array(ring.class_index(), dtype=np.int32)
     points = np.arange(n, dtype=np.int32)

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .arith import moebius, totient
 from .errors import BoundExceededError, InternalConsistencyError, NotRationalError
 from .lattice import DEFAULT_MAX_TAU, DivisorLattice, divisors, tau
@@ -274,6 +272,8 @@ def spectrum(graph: CirculantGraph, tol: float = 1e-6) -> SpectrumReport:
     Trace-closed connection sets go through the exact character-sum form,
     which is then validated against the DFT before being trusted.
     """
+    import numpy as np
+
     n = graph.n
     indicator = np.zeros(n)
     for s in graph.connection:

@@ -17,12 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InternalConsistencyError
 from .lattice import DivisorLattice
 from .arith import factorize
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -303,6 +305,8 @@ class PartitionOfZn:
         return len(sizes) == 1
 
     def adjacency(self) -> np.ndarray:
+        import numpy as np
+
         a = np.zeros((self.n, self.n), dtype=np.int64)
         for b in self.blocks:
             idx = sorted(b)
@@ -350,6 +354,8 @@ def orthogonality_check(e: PartitionOfZn, f: PartitionOfZn) -> bool:
     """True iff the 0/1 relation matrices of the two partitions commute."""
     if e.n != f.n:
         raise ValueError("partitions live on different moduli")
+    import numpy as np
+
     a, b = e.adjacency(), f.adjacency()
     return bool(np.array_equal(a @ b, b @ a))
 

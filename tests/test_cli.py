@@ -5,8 +5,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ratcirc.cli import AnalysisRequest, main
+from ratcirc import sring
+from ratcirc.cli import AnalysisRequest, _analysis_payload, _dump_json, main
+from ratcirc.oracle import CirculantGraph, full_verify, spectrum
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _src_env() -> dict[str, str]:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def run(capsys, *argv):
@@ -73,13 +85,10 @@ class TestAnalyze:
     def test_large_rational_modulus_under_address_space_cap(self, tmp_path):
         # tau(55440) = 120; refined point by point this request runs out of
         # memory under the 1.5 GiB address-space cap that bench/child.py sets.
-        repo = Path(__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
         done = subprocess.run(
-            [sys.executable, str(repo / "bench" / "child.py"), str(tmp_path / "report.json"), "run",
+            [sys.executable, str(REPO / "bench" / "child.py"), str(tmp_path / "report.json"), "run",
              "analyze", "55440", "--divisors", "2,3,5,7,8,9,11", "--format", "json"],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=_src_env(), capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
         payload = json.loads(done.stdout)
@@ -235,3 +244,100 @@ class TestRequestValidation:
     def test_seedless_flag_is_inert(self, capsys):
         code, out, _ = run(capsys, "--seedless", "enumerate", "2", "--format", "json")
         assert code == 0
+
+
+def reference_dump(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+json_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.lists(st.integers(), max_size=6)
+        | st.dictionaries(st.text(max_size=5), children, max_size=4)
+        | st.dictionaries(st.integers(), children, max_size=3)
+    ),
+    max_leaves=30,
+)
+
+
+class TestDumpJson:
+    def test_analysis_payloads(self):
+        req = AnalysisRequest(n=36, residues=None, divisor_subset=(2, 3, 4, 6), fmt="json",
+                              include_generators=True, run_oracle=True, run_spectrum=True)
+        exact = _analysis_payload(req)
+        assert exact["spectrum"]["exact"] and exact["generators"] and exact["oracle"]["match"]
+        # A non-trace-closed set has the float-pair spectrum.
+        floats = dict(exact, spectrum=spectrum(CirculantGraph.of(12, {1, 2})).to_json_dict())
+        assert not floats["spectrum"]["exact"]
+        for payload in (exact, floats):
+            assert _dump_json(payload) == reference_dump(payload)
+
+    def test_enumerate_report(self):
+        report = full_verify(12, use_oracle=True).to_json_dict()
+        assert _dump_json(report) == reference_dump(report)
+
+    @given(payload=st.dictionaries(st.text(max_size=5), json_payloads, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_nested_payloads(self, payload):
+        assert _dump_json(payload) == reference_dump(payload)
+
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from ratcirc import cli
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return {"code": code, "out": out.getvalue(), "err": err.getvalue(),
+            "numpy": "numpy" in sys.modules}
+
+json.dump([run(argv.split()) for argv in sys.argv[1:]], sys.stdout)
+"""
+
+
+class TestNumpyFree:
+    def test_rational_path_does_not_import_numpy(self, bench_workloads):
+        argv = ["analyze 5040 --divisors 2,3,5,7,8,9 --format json", "enumerate 12 --verify",
+                # These still build n-sized vectors: the transport check, the DFT
+                # and the point-level refinement.
+                "analyze 360 --divisors 2,3,5,8,9 --generators",
+                "analyze 12 --divisors 2 --spectrum", "analyze 120 --set 1,2,3"]
+        done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], env=_src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        large, verify, generators, spec, reject = json.loads(done.stdout)
+
+        assert not large["numpy"] and not verify["numpy"]
+        assert (large["code"], json.loads(large["out"])["rank"]) == (0, 41)
+        assert verify["code"] == 0
+        assert verify["out"].endswith("32 rational circulants on Z_12\n")
+
+        (req,) = [r for r in bench_workloads.WORKLOADS["generators-mid"].requests if r.n == 360]
+        assert generators["code"] == 0 and generators["err"] == ""
+        assert f"lattice: {{{','.join(map(str, req.expected['lattice']))}}}" in generators["out"]
+        assert f"expression: {req.expected['expression']}" in generators["out"]
+        assert generators["out"].endswith(f"generators: {req.generator_count} permutations\n")
+
+        assert (spec["code"], spec["err"]) == (0, "")
+        assert spec["out"] == (
+            "n: 12\n"
+            "input: divisors 2\n"
+            "connection set: {2,10}\n"
+            "rank: 5\n"
+            "basic sets: {0} | {1,3,5,7,9,11} | {2,10} | {4,8} | {6}\n"
+            "lattice: {1,2,3,6,12}\n"
+            "poset: r=3; relations [1<3, 2<3]; weights (3, 2, 2)\n"
+            "map coefficients: (4, 6, 1)\n"
+            "order: 2^5 · 3^2 = 288\n"
+            "expression: S_2 ≀ (S_2 × S_3)\n"
+            "spectrum: integral=True values [2,2,1,1,1,1,-1,-1,-1,-1,-2,-2]\n"
+        )
+
+        units = ",".join(map(str, sring.units(120)))
+        assert (reject["code"], reject["out"]) == (2, "")
+        assert reject["err"] == f"error: not rational: trace of {{1}} is {{{units}}}\n"

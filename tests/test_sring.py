@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ratcirc import sring
+from ratcirc.arith import factorize
 from ratcirc import (
     DivisorLattice,
     NotRationalError,
@@ -19,6 +20,7 @@ from ratcirc import (
     group_basis,
     is_rational,
     is_trace_closed,
+    lattice_to_poset,
     orbit_set,
     orbit_union,
     subgroup,
@@ -26,6 +28,10 @@ from ratcirc import (
     trace,
     trivial_lattice,
 )
+
+
+# The moduli of the benchmark's analyze and generators requests (bench/workloads.py).
+BENCH_ANALYZE_MODULI = (1260, 2520, 5040, 200, 288, 360)
 
 
 def reference_trace(n, s):
@@ -62,6 +68,35 @@ def reference_generate_sring(n, s):
     for x in range(n):
         by_label.setdefault(int(labels[x]), []).append(x)
     return SchurRing(n, tuple(sorted((frozenset(v) for v in by_label.values()), key=min)))
+
+
+def reference_local_counts(p, k):
+    """Brute force over Z_{p^k}: (p^v(u), p^v(x - u), p^v(x)) -> count, for x = p^l."""
+    q = p ** k
+
+    def power(x):  # p^v(x), with v(0) = k
+        return math.gcd(x % q, q) or q
+
+    out = {}
+    for l in range(k + 1):
+        x = p ** l % q
+        for u in range(q):
+            key = (power(u), power(x - u), p ** l)
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
+def reference_count_tensor(n):
+    """The dense counts[d, e, f] = #{u in O_d : x - u in O_e}, x in O_f, one bincount per f."""
+    reps = sorted(d % n for d in divisors(n))
+    t = len(reps)
+    points = np.arange(n, dtype=np.int64)
+    node = np.searchsorted(reps, np.gcd(points, n) % n)
+    counts = np.empty((t, t, t), dtype=np.int64)
+    for f, x in enumerate(reps):
+        pairs = node * t + node[(x - points) % n]
+        counts[:, :, f] = np.bincount(pairs, minlength=t * t).reshape(t, t)
+    return counts
 
 
 class TestOrbitSet:
@@ -134,14 +169,21 @@ class TestAgainstReferences:
         assert trace(n, s) == reference_trace(n, s)
         assert generate_sring(n, s) == reference_generate_sring(n, s)
 
-    def test_pinned_2520_lattice(self, bench_workloads):
-        # The analyze-large request with the 33-member lattice.
-        (req,) = [r for r in bench_workloads.WORKLOADS["analyze-large"].requests if r.n == 2520]
-        ring = generate_sring(2520, orbit_union(2520, req.divisors))
+    @pytest.mark.parametrize("n", BENCH_ANALYZE_MODULI, ids=str)
+    def test_pinned_bench_lattice(self, n, bench_workloads):
+        # Every analyze and generators request of the benchmark, read from bench/workloads.py.
+        (req,) = [r for w in bench_workloads.WORKLOADS.values() for r in w.requests
+                  if r.kind in ("analyze", "generators") and r.n == n]
+        ring = generate_sring(n, orbit_union(n, req.divisors))
         lat = group_basis(ring).lattice
-        assert len(lat) == 33
-        assert list(lat.elements) == req.expected["lattice"]
         assert ring.rank == req.expected["rank"]
+        assert list(lat.elements) == req.expected["lattice"]
+        assert lattice_to_poset(lat).to_json_dict() == req.expected["poset"]
+
+    def test_every_bench_lattice_is_pinned(self, bench_workloads):
+        asked = [r.n for w in bench_workloads.WORKLOADS.values() for r in w.requests
+                 if r.kind in ("analyze", "generators")]
+        assert sorted(asked) == sorted(BENCH_ANALYZE_MODULI)
 
 
 class TestOrbitPath:
@@ -174,6 +216,37 @@ class TestOrbitPath:
             tracemalloc.stop()
         assert ring.rank == 41
         assert peak < 16 << 20
+
+
+class TestUnits:
+    def test_matches_gcd_definition(self):
+        for n in (*range(1, 2001), 720720):
+            assert sring.units(n) == tuple(m for m in range(n) if math.gcd(m, n) == 1), n
+
+
+class TestCountTensor:
+    def test_local_counts_match_brute_force(self):
+        prime_powers = [q for q in range(2, 101) if len(factorize(q)) == 1]
+        assert len(prime_powers) == 35
+        for q in prime_powers:
+            ((p, k),) = factorize(q).items()
+            local = sring._local_counts(p, k)
+            got = {(pi, pj, pl): m for pi, pj, pl, m in local}
+            assert len(got) == len(local), q
+            assert got == reference_local_counts(p, k), q
+
+    @pytest.mark.parametrize("n", (360, 5040))
+    def test_sparse_product_matches_dense_bincount(self, n):
+        nodes = sorted(divisors(n), key=lambda d: d % n)
+        by_target = sring._count_tensor(n, {d: i for i, d in enumerate(nodes)})
+        dense = np.zeros((len(nodes),) * 3, dtype=np.int64)
+        for f, entries in enumerate(by_target):
+            for d, e, c, c_same in entries:
+                assert c > 0 and c_same == (c if d == e else 2 * c)
+                dense[d, e, f] += c
+                if d != e:
+                    dense[e, d, f] += c
+        assert np.array_equal(dense, reference_count_tensor(n))
 
 
 class TestGenerateSRing:
