@@ -397,11 +397,13 @@ def rational_chain(
     """Schur ring, divisor lattice and weighted poset of a rational connection set.
 
     Raises ``NotRationalError`` naming the least element whose trace leaves the set.
+    That includes a set too large for ``generate_sring``'s point path: only a set
+    that is not trace-closed takes that path, and none generates a rational ring.
     """
-    ring = sring.generate_sring(n, connection)
     try:
+        ring = sring.generate_sring(n, connection)
         lat = sring.group_basis(ring).lattice
-    except NotRationalError:
+    except (NotRationalError, BoundExceededError):
         s = frozenset(x % n for x in connection)
         offender = min(x for x in s if not sring.trace(n, {x}) <= s)
         tr = sorted(sring.trace(n, {offender}))

@@ -10,8 +10,12 @@ classes are unions of the multiplicative orbits {x : gcd(x, n) = d};
 those are classified by divisor lattices, and both directions of that
 dictionary live here.  A trace-closed subset (a union of those orbits)
 generates a rational ring, and ``generate_sring`` refines it on the tau(n)
-orbits instead of on the n points; other subsets are refined point by
-point.
+orbits instead of on the n points.  Other subsets are refined point by
+point: the row of x lists, sorted, the codes of the class pairs
+{class(u), class(x - u)} over all u in Z_n, one n x n matrix per round
+whatever the rank, so that path refuses n > ``MAX_POINT_N`` up front.  No
+such subset generates a rational ring: it is a union of classes, and the
+classes of a rational ring are trace-closed.
 
 The orbit refinement needs the counts #{(a, b) in O_d x O_e : a + b = x}
 for x in O_f.  By the Chinese remainder theorem they are products over the
@@ -36,11 +40,14 @@ from itertools import compress
 from typing import TYPE_CHECKING
 
 from .arith import factorize, totient
-from .errors import InternalConsistencyError, NotRationalError
+from .errors import BoundExceededError, InternalConsistencyError, NotRationalError
 from .lattice import DivisorLattice, divisors
 
 if TYPE_CHECKING:
     import numpy as np
+
+# Largest modulus refined point by point: each round sorts an n x n code matrix.
+MAX_POINT_N = 4096
 
 
 def orbit_union(n: int, ds) -> frozenset[int]:
@@ -177,13 +184,15 @@ def generate_sring(n: int, s) -> SchurRing:
     """Basic sets of the smallest Schur ring over Z_n containing the subset s.
 
     Starts from the splitting induced by {0}, s and -s, then refines by
-    exact convolution fingerprints (the class of -x, and the number of
-    ways x = a + b for each unordered class pair) until the partition is
-    stable.  Each round numbers the distinct fingerprints in sorted order.
+    exact convolution fingerprints (the class of -x, and how often each
+    unordered class pair {class(a), class(b)} has a + b = x) until the
+    partition is stable.  Each round numbers the distinct fingerprints in
+    sorted order.
 
     A trace-closed s is refined on the tau(n) orbits {x : gcd(x, n) = d}
     instead of the n points (``_orbit_sring``); any other s point by point
-    (``_point_sring``).  Both give the same classes round by round.
+    (``_point_sring``), which raises ``BoundExceededError`` for
+    n > ``MAX_POINT_N``.  Both give the same classes round by round.
     """
     if n < 1:
         raise ValueError("modulus must be positive")
@@ -213,8 +222,9 @@ def _refine(labels, k: int, split):
 
     ``split(labels, k)`` numbers the nodes' rows and returns the new labels
     and their count.  A node's row is its label, the label of its negation,
-    then for each unordered class pair (a <= b) the number of ways to write
-    the node as a sum of an element of class a and one of class b.
+    then how often each unordered class pair {a, b} sums to the node: the
+    orbit path lists (pair code, count) items, the point path the sorted
+    pair codes a * k + b (a <= b) of all ways x = u + (x - u).
     """
     while True:
         new_labels, new_k = split(labels, k)
@@ -224,22 +234,41 @@ def _refine(labels, k: int, split):
 
 
 def _point_sring(n: int, s: frozenset[int]) -> SchurRing:
-    """``generate_sring`` refined on all n points; s must be reduced mod n, n >= 2."""
+    """``generate_sring`` refined on all n points; s must be reduced mod n, n >= 2.
+
+    The row of x is its label, the label of -x, then the sorted codes
+    min(a, b) * k + max(a, b) of the labels a of u and b of x - u over all u
+    in Z_n.  Class pair {A, B} occurs 2 c_AB(x) times there when A != B and
+    c_AA(x) times when A = B, so these rows split the points exactly as the
+    per-pair counts do.  Each round builds one n x n code matrix whatever the
+    rank, so n is bounded by ``MAX_POINT_N`` before anything is allocated.
+    """
+    if n > MAX_POINT_N:
+        raise BoundExceededError(
+            f"instance too large: n={n} is refined point by point, so {n * n} point "
+            f"pairs per round (bound {MAX_POINT_N * MAX_POINT_N}, n <= {MAX_POINT_N})"
+        )
     import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
 
     neg = (-np.arange(n)) % n
 
     def split(labels: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-        idx = [np.flatnonzero(labels == a) for a in range(k)]
-        cols = [labels, labels[neg]]
-        # Addition commutes, so the column of (b, a) equals that of (a, b).
-        for a in range(k):
-            for b in range(a, k):
-                sums = np.add.outer(idx[a], idx[b]).ravel()
-                # a + b < 2n: count both laps, then fold the second onto the first.
-                counts = np.bincount(sums, minlength=2 * n)
-                cols.append(counts[:n] + counts[n:])
-        new_labels = _number_rows(cols)
+        if k == n:  # discrete: nothing left to split
+            return labels, k
+        lab = labels.astype(np.int32)
+        # other[x, u] = lab[(x - u) % n], a view of lab repeated twice.
+        other = sliding_window_view(np.concatenate((lab, lab)), n)[1:, ::-1]
+        rows = np.empty((n, n + 2), dtype=np.int32)
+        rows[:, 0], rows[:, 1] = lab, lab[neg]
+        # min(a, b) * k + max(a, b) = min(a, b) * (k - 1) + a + b < k * k <= 2^24.
+        codes = rows[:, 2:]
+        np.minimum(lab, other, out=codes)
+        codes *= k - 1
+        codes += lab
+        codes += other
+        codes.sort(axis=1)
+        new_labels = _number_rows(rows)
         return new_labels, int(new_labels.max()) + 1
 
     labels, k = _initial_labels(n, s, range(n))
@@ -344,20 +373,20 @@ def _groups(nodes, labels: list[int]) -> list[list[int]]:
     return sorted(by_label.values(), key=min)
 
 
-def _number_rows(cols: list[np.ndarray]) -> np.ndarray:
-    """Number the distinct rows of the matrix whose columns are ``cols``.
+def _number_rows(rows: np.ndarray) -> np.ndarray:
+    """Number the distinct rows of a C-contiguous matrix.
 
-    Sorts the rows lexicographically (``lexsort`` takes its primary key
-    last), then starts a new number wherever a row differs from the one
-    before it in that order; equal rows get equal numbers.
+    Reads each row as one byte string, sorts those strings, then starts a
+    new number wherever one differs from the one before it; equal rows get
+    equal numbers.
     """
     import numpy as np
 
-    order = np.lexsort(cols[::-1])
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    order = keys.argsort()
+    ranked = keys[order]
     changed = np.zeros(len(order), dtype=bool)
-    for col in cols:
-        ranked = col[order]
-        changed[1:] |= ranked[1:] != ranked[:-1]
+    changed[1:] = ranked[1:] != ranked[:-1]
     labels = np.empty(len(order), dtype=np.int64)
     labels[order] = np.cumsum(changed)
     return labels

@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import pytest
 
 from ratcirc import DivisorLattice, poset_from_pairs
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+REPO = Path(__file__).resolve().parent.parent
+BENCH_DIR = REPO / "bench"
 
 STRIKING_ELEMENTS = (1, 2, 3, 4, 6, 12, 18, 36)
 
@@ -44,3 +46,11 @@ def bench_workloads():
 def bench_tracer():
     """The benchmark's span store and summary (``bench/tracer.py``)."""
     return _load_bench_module("tracer")
+
+
+@pytest.fixture(scope="session")
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's src/ first on PYTHONPATH, for subprocesses."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    return env

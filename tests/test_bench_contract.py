@@ -8,7 +8,6 @@ small request of the same kind as each workload runs through
 ``bench/child.py`` in trace mode, and every required span must show calls.
 """
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -27,14 +26,13 @@ SMALL_REQUESTS = {
 
 
 @pytest.mark.parametrize("workload", sorted(SMALL_REQUESTS))
-def test_traced_request_runs_every_required_span(workload, tmp_path, bench_workloads, bench_tracer):
+def test_traced_request_runs_every_required_span(workload, tmp_path, bench_workloads, bench_tracer,
+                                                 src_env):
     argv, exit_code = SMALL_REQUESTS[workload]
     report = tmp_path / "report.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, str(REPO / "bench" / "child.py"), str(report), "trace", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=src_env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == exit_code, done.stderr
     calls, _, _ = bench_tracer.summarise(json.loads(report.read_text()))

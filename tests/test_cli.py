@@ -1,5 +1,5 @@
 import json
-import os
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -14,17 +14,27 @@ from ratcirc.oracle import CirculantGraph, full_verify, spectrum
 REPO = Path(__file__).resolve().parent.parent
 
 
-def _src_env() -> dict[str, str]:
-    """The environment with this checkout's src/ first on PYTHONPATH."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
-    return env
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(tmp_path, env, *argv):
+    """``argv`` through bench/child.py, under its 1.5 GiB address-space cap."""
+    return subprocess.run(
+        [sys.executable, str(REPO / "bench" / "child.py"), str(tmp_path / "report.json"), "run",
+         *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def trace_diagnostic(n, residues):
+    """The non-rational diagnostic, from the definition: the gcd class of the least offender."""
+    s = set(residues)
+    orbit = {x: [y for y in range(1, n) if math.gcd(y, n) == math.gcd(x, n)] for x in s}
+    x = min(x for x in s if not set(orbit[x]) <= s)
+    return f"error: not rational: trace of {{{x}}} is {{{','.join(map(str, orbit[x]))}}}\n"
 
 
 class TestAnalyze:
@@ -82,17 +92,30 @@ class TestAnalyze:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_large_rational_modulus_under_address_space_cap(self, tmp_path):
-        # tau(55440) = 120; refined point by point this request runs out of
-        # memory under the 1.5 GiB address-space cap that bench/child.py sets.
-        done = subprocess.run(
-            [sys.executable, str(REPO / "bench" / "child.py"), str(tmp_path / "report.json"), "run",
-             "analyze", "55440", "--divisors", "2,3,5,7,8,9,11", "--format", "json"],
-            env=_src_env(), capture_output=True, text=True, timeout=120,
-        )
+    def test_large_rational_modulus_under_address_space_cap(self, tmp_path, src_env):
+        # tau(55440) = 120; n is far above the point path's bound, so only
+        # the orbit refinement can answer it under the cap.
+        done = run_child(tmp_path, src_env,
+                         "analyze", "55440", "--divisors", "2,3,5,7,8,9,11", "--format", "json")
         assert done.returncode == 0, done.stderr
         payload = json.loads(done.stdout)
         assert payload["rank"] == len(payload["lattice"])
+
+    def test_fine_ring_under_address_space_cap(self, tmp_path, src_env):
+        # {1, 2} generates the discrete ring of Z_2000: about 2 million class
+        # pairs in the last rounds, each round still one n x n code matrix.
+        done = run_child(tmp_path, src_env, "analyze", "2000", "--set", "1,2")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == trace_diagnostic(2000, (1, 2))
+
+    def test_point_path_bound_still_gets_the_diagnostic(self, tmp_path, src_env, bench_workloads):
+        # The benchmark's n = 30000 rejection: above the point path's bound,
+        # and rejected from the connection set alone.
+        (req,) = [r for r in bench_workloads.WORKLOADS["reject-nonrational"].requests
+                  if r.n == 30000]
+        done = run_child(tmp_path, src_env, *req.argv)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == trace_diagnostic(req.n, req.residues)
 
     def test_spectrum_flag(self, capsys):
         code, out, _ = run(
@@ -301,13 +324,13 @@ json.dump([run(argv.split()) for argv in sys.argv[1:]], sys.stdout)
 
 
 class TestNumpyFree:
-    def test_rational_path_does_not_import_numpy(self, bench_workloads):
+    def test_rational_path_does_not_import_numpy(self, bench_workloads, src_env):
         argv = ["analyze 5040 --divisors 2,3,5,7,8,9 --format json", "enumerate 12 --verify",
                 # These still build n-sized vectors: the transport check, the DFT
                 # and the point-level refinement.
                 "analyze 360 --divisors 2,3,5,8,9 --generators",
                 "analyze 12 --divisors 2 --spectrum", "analyze 120 --set 1,2,3"]
-        done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], env=_src_env(),
+        done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], env=src_env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         large, verify, generators, spec, reject = json.loads(done.stdout)

@@ -3,7 +3,6 @@
 The scripts call the public API directly, so a renamed or removed name
 breaks them before anything else notices.
 """
-import os
 import re
 import subprocess
 import sys
@@ -21,9 +20,7 @@ RUNS = {
 }
 
 
-def run_script(argv) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+def run_script(argv, env) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(REPO / "scripts" / argv[0]), *argv[1:]],
         env=env, capture_output=True, text=True, timeout=120,
@@ -31,14 +28,14 @@ def run_script(argv) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.parametrize("argv", sorted(RUNS), ids=lambda argv: argv[0])
-def test_script_runs(argv):
-    done = run_script(argv)
+def test_script_runs(argv, src_env):
+    done = run_script(argv, src_env)
     assert done.returncode == 0, done.stderr
     assert re.fullmatch(RUNS[argv], done.stdout.splitlines()[-1])
 
 
-def test_full_verify_skips_moduli_over_the_divisor_bound():
+def test_full_verify_skips_moduli_over_the_divisor_bound(src_env):
     # tau(120) = 16: 32768 divisor subsets, over the bound of 2048.
-    done = run_script(("full_verify.py", "119", "120"))
+    done = run_script(("full_verify.py", "119", "120"), src_env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[1].startswith("n=120: skipped, instance too large")

@@ -5,11 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ratcirc import sring
 from ratcirc.arith import factorize
 from ratcirc import (
+    BoundExceededError,
     DivisorLattice,
     NotRationalError,
     SchurRing,
@@ -196,17 +197,20 @@ class TestOrbitPath:
                     want = sring._point_sring(n, s)
                     assert sring._orbit_sring(n, s) == want, (n, subset)
 
-    @given(st.data())
+    @given(st.integers(min_value=2, max_value=60),
+           st.lists(st.integers(0, 59), min_size=1, max_size=8))
+    # Coding a class pair {a, b} by a + b instead of min(a, b) * k + max(a, b)
+    # merges two of the 16 classes of this ring.
+    @example(45, [12, 27])
     @settings(max_examples=40, deadline=None)
-    def test_non_trace_closed_input_takes_the_point_path(self, data):
-        n = data.draw(st.integers(min_value=2, max_value=60), label="n")
-        s = frozenset(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8), label="s"))
+    def test_non_trace_closed_input_takes_the_point_path(self, n, residues):
+        s = frozenset(x % n for x in residues)
         assume(reference_trace(n, s) != s)
         with mock.patch.object(sring, "_orbit_sring", side_effect=AssertionError("orbit path")):
             assert generate_sring(n, s) == reference_generate_sring(n, s)
 
     def test_trace_closed_input_stays_small(self):
-        # The point path peaks at about 126 MiB here: its largest outer sum.
+        # n = 5040 exceeds the point path's bound: only the orbit path answers it.
         s = orbit_union(5040, (2, 3, 5, 7, 8, 9))
         tracemalloc.start()
         try:
@@ -216,6 +220,32 @@ class TestOrbitPath:
             tracemalloc.stop()
         assert ring.rank == 41
         assert peak < 16 << 20
+
+
+class TestPointPath:
+    def test_memory_does_not_grow_with_the_rank(self):
+        # {1, 2} generates the discrete ring: rank 240, so about 29000 class
+        # pairs in the last rounds.  A round's n x n code matrix does not
+        # depend on that number.
+        tracemalloc.start()
+        try:
+            ring = generate_sring(240, {1, 2})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ring.rank == 240
+        assert peak < 8 << 20
+
+    def test_refuses_above_the_bound(self):
+        with pytest.raises(BoundExceededError) as err:
+            generate_sring(4097, {1, 2})
+        assert str(err.value) == (
+            "instance too large: n=4097 is refined point by point, so 16785409 point "
+            "pairs per round (bound 16777216, n <= 4096)"
+        )
+        # Whatever the rank: {x : x = 1 mod 4} has a ring of rank 5 at n = 4096.
+        with pytest.raises(BoundExceededError, match="n=8192"):
+            generate_sring(8192, range(1, 8192, 4))
 
 
 class TestUnits:
