@@ -3,7 +3,8 @@
 
 For every n in the range and every divisor subset, computes the group
 order twice (closed formula vs. backtracking search) and reports any
-mismatch.  Writes the full per-instance JSON report when --out is given.
+mismatch, with the seconds each modulus took.  Writes the full
+per-instance JSON report when --out is given.
 An n with more than 12 divisors is skipped, with the bound it exceeds.
 
 Example:
@@ -29,6 +30,7 @@ def main() -> int:
     bad = 0
     t0 = time.perf_counter()
     for n in range(args.lo, args.hi + 1):
+        t_n = time.perf_counter()
         try:
             rep = full_verify(n, max_oracle_n=args.max_oracle_n)
         except BoundExceededError as e:
@@ -40,7 +42,8 @@ def main() -> int:
         bad += failed
         mode = "pipeline-only" if verified + failed == 0 else f"{verified} verified"
         print(f"n={n:3d}: {len(rep.records):4d} rational circulants, {mode}"
-              + (f", {failed} MISMATCHES" if failed else ""))
+              + (f", {failed} MISMATCHES" if failed else "")
+              + f", {time.perf_counter() - t_n:.2f}s")
     print(f"total {time.perf_counter() - t0:.1f}s")
 
     if args.out:

@@ -5,10 +5,20 @@ are found by backtracking over vertex images with color-refinement and
 adjacency pruning, spectra by character sums cross-checked against a
 floating-point DFT, and ``full_verify`` runs both sides over every
 divisor subset and compares exact group orders.
+
+``brute_force_aut`` builds its stabilizer chain bottom-up (Butler,
+*Fundamental Algorithms for Permutation Groups*, 1991; Seress,
+*Permutation Group Algorithms*, 2003, ch. 9): base points are taken in
+reverse order, so the generators of each point stabilizer are known
+before the level above it is searched.  Candidate images are pruned by
+their orbits under that stabilizer, one search per orbit; each base
+point's orbit is closed under all generators found, and there are at
+most log2|G| of them.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -163,15 +173,35 @@ def _search_automorphism(
     return list(img) if dfs(cand, used) else None
 
 
+def _close(orbit: set[int], gens: list[Perm]) -> set[int]:
+    """Extend ``orbit`` in place to its closure under ``gens``; return it."""
+    frontier = list(orbit)
+    while frontier:
+        p = frontier.pop()
+        for h in gens:
+            q = h.image[p]
+            if q not in orbit:
+                orbit.add(q)
+                frontier.append(q)
+    return orbit
+
+
 def brute_force_aut(
     graph: CirculantGraph, max_n: int = DEFAULT_MAX_ORACLE_N
 ) -> PermutationGroup:
     """Full automorphism group by stabilizer-chain backtracking.
 
-    For each base vertex in turn, searches for one automorphism fixing all
-    earlier vertices and moving the base to each candidate image; the
-    collected permutations generate the whole group and the product of the
-    discovered orbit sizes is its order (cross-checked internally).
+    Base vertices run in reverse order, i = n-1 down to 0.  The generators
+    found at deeper levels fix 0..i and generate G_(0..i), the pointwise
+    stabilizer of 0..i.  A candidate image y of i outside i's orbit is
+    searched for once, an automorphism fixing 0..i-1 and mapping i to y,
+    and y's whole G_(0..i)-orbit is marked tried: either all of it or none
+    lies in i's orbit.  A generator found extends i's orbit by its closure
+    under all generators found so far.  It maps i outside the orbit of the
+    group they generated, so that group at least doubles: there are at
+    most log2|G| generators.  They are handed to the chain in ascending
+    base order, and the product of the orbit sizes is the order,
+    cross-checked against the chain.
     """
     n = graph.n
     if n > max_n:
@@ -185,36 +215,30 @@ def brute_force_aut(
     for v, c in enumerate(colors):
         color_mask[c] |= 1 << v
 
-    gens: list[Perm] = []
+    gens: list[Perm] = []  # ascending base order
     order = 1
-    for i in range(n):
+    for i in range(n - 1, -1, -1):
         forced = [(v, v) for v in range(i)]
         prefix = (1 << i) - 1
-        orbit = {i}
+        orbit = {i}  # every generator found so far fixes i
+        tried = {i}
         level_gens: list[Perm] = []
         for y in range(i + 1, n):
-            if y in orbit or colors[y] != colors[i]:
+            if y in tried or colors[y] != colors[i]:
                 continue
             if (out_m[i] & prefix) != (out_m[y] & prefix):
                 continue
             if (in_m[i] & prefix) != (in_m[y] & prefix):
                 continue
+            tried |= _close({y}, gens)
             img = _search_automorphism(
                 n, out_m, in_m, color_mask, colors, forced + [(i, y)]
             )
             if img is None:
                 continue
-            g = Perm(img)
-            gens.append(g)
-            level_gens.append(g)
-            frontier = list(orbit)
-            while frontier:
-                p = frontier.pop()
-                for h in level_gens:
-                    q = h.image[p]
-                    if q not in orbit:
-                        orbit.add(q)
-                        frontier.append(q)
+            level_gens.append(Perm(img))
+            tried |= _close(orbit, level_gens + gens)
+        gens[:0] = level_gens
         order *= len(orbit)
 
     group = PermutationGroup(n, gens)
@@ -399,13 +423,18 @@ def rational_chain(
     Raises ``NotRationalError`` naming the least element whose trace leaves the set.
     That includes a set too large for ``generate_sring``'s point path: only a set
     that is not trace-closed takes that path, and none generates a rational ring.
+    The trace of x is its orbit {y : gcd(y, n) = d}, d = gcd(x, n), of size
+    phi(n/d), so it leaves the set exactly when the set has fewer members of
+    gcd d: one gcd per member finds the offender, and only its trace is built.
     """
     try:
         ring = sring.generate_sring(n, connection)
         lat = sring.group_basis(ring).lattice
     except (NotRationalError, BoundExceededError):
         s = frozenset(x % n for x in connection)
-        offender = min(x for x in s if not sring.trace(n, {x}) <= s)
+        members = Counter(math.gcd(x, n) for x in s)
+        short = {d for d, c in members.items() if c < totient(n // d)}
+        offender = min(x for x in s if math.gcd(x, n) in short)
         tr = sorted(sring.trace(n, {offender}))
         raise NotRationalError(
             f"not rational: trace of {{{offender}}} is {{{','.join(map(str, tr))}}}"

@@ -1,8 +1,9 @@
 import math
 import re
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import numpy as np
 
@@ -25,7 +26,60 @@ from ratcirc import (
     sublattices,
     trivial_lattice,
 )
+from ratcirc import sring
 from ratcirc.arith import factored_value
+from ratcirc.oracle import _search_automorphism, _stable_coloring, rational_chain
+
+
+def reference_brute_force_order(graph: CirculantGraph) -> int:
+    """Automorphism group order by the forward-order level loop.
+
+    Base points run 0, 1, ..., n-1, and each orbit is closed under the
+    generators of its own level only, so every candidate outside that
+    partial orbit costs one search.
+    """
+    n = graph.n
+    out_m, in_m = graph.out_masks(), graph.in_masks()
+    colors = _stable_coloring(n, out_m, in_m)
+    color_mask = [0] * (max(colors) + 1)
+    for v, c in enumerate(colors):
+        color_mask[c] |= 1 << v
+    order = 1
+    for i in range(n):
+        forced = [(v, v) for v in range(i)]
+        prefix = (1 << i) - 1
+        orbit = {i}
+        level_gens = []
+        for y in range(i + 1, n):
+            if y in orbit or colors[y] != colors[i]:
+                continue
+            if (out_m[i] & prefix) != (out_m[y] & prefix):
+                continue
+            if (in_m[i] & prefix) != (in_m[y] & prefix):
+                continue
+            img = _search_automorphism(
+                n, out_m, in_m, color_mask, colors, forced + [(i, y)]
+            )
+            if img is None:
+                continue
+            level_gens.append(img)
+            frontier = list(orbit)
+            while frontier:
+                p = frontier.pop()
+                for h in level_gens:
+                    if h[p] not in orbit:
+                        orbit.add(h[p])
+                        frontier.append(h[p])
+        order *= len(orbit)
+    return order
+
+
+def reference_diagnostic(n: int, connection) -> str:
+    """The non-rational message, with one trace per member of the set."""
+    s = frozenset(x % n for x in connection)
+    offender = min(x for x in s if not sring.trace(n, {x}) <= s)
+    tr = sorted(sring.trace(n, {offender}))
+    return f"not rational: trace of {{{offender}}} is {{{','.join(map(str, tr))}}}"
 
 
 class TestCirculantGraph:
@@ -75,6 +129,34 @@ class TestBruteForceAut:
         arcs = {(x, (x + s) % 8) for x in range(8) for s in g.connection}
         for gen in group.generators:
             assert {(gen.image[x], gen.image[y]) for x, y in arcs} == arcs
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_forward_order_reference(self, data):
+        # Arbitrary connection sets: directed and non-rational ones included.
+        n = data.draw(st.integers(min_value=2, max_value=16))
+        s = data.draw(st.sets(st.integers(min_value=1, max_value=n - 1)))
+        graph = CirculantGraph.of(n, s)
+        group = brute_force_aut(graph)
+        assert group.order() == reference_brute_force_order(graph)
+        arcs = {(x, (x + d) % n) for x in range(n) for d in s}
+        for gen in group.generators:
+            assert {(gen.image[x], gen.image[y]) for x, y in arcs} == arcs
+
+    @pytest.mark.parametrize("n", [12, 18, 20])
+    def test_at_most_log2_order_generators(self, n):
+        proper = [d for d in divisors(n) if d != n]
+        for k in range(len(proper) + 1):
+            for subset in combinations(proper, k):
+                group = brute_force_aut(CirculantGraph.of(n, orbit_union(n, subset)))
+                assert 2 ** len(group.generators) <= group.order(), subset
+                # Handed over in ascending base order: one chain level per base point.
+                assert list(group.base()) == sorted(group.base()), subset
+
+    def test_symmetric_group_at_the_bound(self):
+        group = brute_force_aut(CirculantGraph.of(40, set()))
+        assert group.order() == math.factorial(40)
+        assert len(group.generators) == 39
 
 
 class TestRamanujanSums:
@@ -203,6 +285,24 @@ class TestFullVerify:
             NotRationalError, match=re.escape("not rational: trace of {1} is {1,5,7,11}")
         ):
             pipeline_order(12, {1, 2})
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_non_rational_diagnostic_matches_per_element_traces(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=60))
+        s = data.draw(st.sets(st.integers(min_value=1, max_value=n - 1), min_size=1))
+        assume(not sring.is_trace_closed(n, s))
+        with pytest.raises(NotRationalError) as err:
+            rational_chain(n, s)
+        assert str(err.value) == reference_diagnostic(n, s)
+
+    def test_non_rational_diagnostic_builds_one_trace(self, monkeypatch):
+        calls = []
+        trace = sring.trace
+        monkeypatch.setattr(sring, "trace", lambda n, s: calls.append(s) or trace(n, s))
+        with pytest.raises(NotRationalError, match=re.escape("trace of {1} is {1,7,11,")):
+            rational_chain(30000, range(1, 15001))
+        assert calls == [{1}]
 
     def test_divisor_count_bound(self):
         # tau(720) = 30: 2^29 divisor subsets, refused before the first one.

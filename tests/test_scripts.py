@@ -39,3 +39,12 @@ def test_full_verify_skips_moduli_over_the_divisor_bound(src_env):
     done = run_script(("full_verify.py", "119", "120"), src_env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[1].startswith("n=120: skipped, instance too large")
+
+
+def test_full_verify_prints_seconds_per_modulus(src_env):
+    done = run_script(("full_verify.py", "6", "8"), src_env)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 4
+    for line in lines[:-1]:
+        assert re.fullmatch(r"n= *\d+: +\d+ rational circulants, \d+ verified, \d+\.\d\ds", line)
