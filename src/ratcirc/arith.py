@@ -85,6 +85,18 @@ def factored_value(f: dict[int, int]) -> int:
     return v
 
 
+def factored_value_below(f: dict[int, int], limit: int) -> int | None:
+    """The value of f if below limit, else None; a huge value such as n! is never built."""
+    v = 1
+    for p, e in f.items():
+        if e >= limit.bit_length():
+            return None
+        v *= p ** e
+        if v >= limit:
+            return None
+    return v
+
+
 def factored_str(f: dict[int, int]) -> str:
     """Human-readable form like '2^11 · 3^4'; '1' for the empty product."""
     if not f:

@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .arith import factored_str, factored_value
+from .arith import factored_str, factored_value_below
 from .errors import BoundExceededError, InternalConsistencyError, NotRationalError
 from .lattice import DivisorLattice
 from .posets import weak_iso_map
@@ -77,6 +77,8 @@ def _parse_divisors(n: int, text: str) -> tuple[int, ...]:
 def _request(args: argparse.Namespace, **options) -> AnalysisRequest:
     """The request named by --set or --divisors, with the given extra fields."""
     n = args.n
+    if n < 2:  # before the residues are reduced mod n
+        raise ValueError("n must be at least 2")
     return AnalysisRequest(
         n=n,
         residues=_parse_residues(n, args.set) if args.set is not None else None,
@@ -111,8 +113,8 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
         "order_factored": {str(p): e for p, e in sorted(order.items())},
         "expression": expr.text(),
     }
-    value = factored_value(order)
-    if value < _MAX_PLAIN_ORDER:
+    value = factored_value_below(order, _MAX_PLAIN_ORDER)
+    if value is not None:
         payload["order"] = value
 
     if req.include_generators or req.run_oracle:
@@ -147,8 +149,8 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
 def _order_line(factored: dict[str, int]) -> str:
     plain = {int(p): e for p, e in factored.items()}
     text = factored_str(plain)
-    value = factored_value(plain)
-    if value < _MAX_PLAIN_ORDER:
+    value = factored_value_below(plain, _MAX_PLAIN_ORDER)
+    if value is not None:
         return f"{text} = {value}"
     return text
 

@@ -110,6 +110,22 @@ class DivisorLattice:
         inner = [x for x in self.elements if x != self.modulus]
         return tuple(x for x in inner if not any(y != x and y % x == 0 for y in inner))
 
+    def peel(self) -> list[tuple[int, int, int]]:
+        """The coatom peel of L, as steps (top, m, s) from the top down.
+
+        Each step takes m, the numerically largest maximal element of the
+        current interval minus its top, and s, the least member that does
+        not divide m, then continues on the interval below m.  A unital
+        lattice ends with the step (top, 1, top) on the interval {1, top}.
+        """
+        steps, lat = [], self
+        while len(lat) > 1:
+            m = max(lat.maximal_elements())
+            s = next(x for x in lat.elements if m % x)
+            steps.append((lat.modulus, m, s))
+            lat = lat.below(m)
+        return steps
+
     def covers(self) -> list[tuple[int, int]]:
         """Covering pairs (x, y) of the divisibility order, for Hasse diagrams."""
         out = []
@@ -216,15 +232,14 @@ def complement_identity_check(
 ) -> ComplementIdentityWitness:
     """Evaluate the complement identity, choosing m deterministically if omitted.
 
-    The default m is the numerically largest maximal element of L minus the
-    top; any maximal element is a valid override.
+    The default m is that of the first step of ``L.peel()``; any maximal
+    element of L minus the top is a valid override.
     """
     if len(L) < 2:
         raise ValueError("need at least two elements")
-    maxima = L.maximal_elements()
     if m is None:
-        m = max(maxima)
-    elif m not in maxima:
+        m = L.peel()[0][1]
+    elif m not in L.maximal_elements():
         raise ValueError(f"{m} is not a maximal element of L minus its top")
     below = set(L.below(m).elements)
     left = tuple(x for x in L if x not in below)

@@ -72,13 +72,8 @@ class CirculantGraph:
         return masks
 
     def in_masks(self) -> list[int]:
-        masks = [0] * self.n
-        for x in range(self.n):
-            m = 0
-            for s in self.connection:
-                m |= 1 << ((x - s) % self.n)
-            masks[x] = m
-        return masks
+        """In-neighborhoods: the out-neighborhoods of the negated connection set."""
+        return CirculantGraph.of(self.n, (-s for s in self.connection)).out_masks()
 
 
 def _stable_coloring(n: int, out_m: list[int], in_m: list[int]) -> list[int]:

@@ -3,11 +3,13 @@
 The dictionary implemented here: a sublattice of the divisor lattice of n
 containing 1 and n corresponds to an increasing poset on [r] with integer
 weights (each at least 2, pairwise coprime across incomparable nodes,
-multiplying to n).  Ancestral (up-closed) subsets of the poset index the
-partitions of the associated block structure on Z_n; complementary weight
-products recover the lattice members.  ``weak_iso_map`` is the explicit
-point bijection between weight tuples and Z_n that carries one picture to
-the other.
+multiplying to n).  The lattice is distributive, so by Birkhoff's
+representation theorem (Davey & Priestley, *Introduction to Lattices and
+Order*, ch. 5) the poset is its join-irreducibles ordered by divisibility,
+read off ``DivisorLattice.peel``; the lattice members are the weight
+products over the down-sets.  Ancestral (up-closed) subsets index the
+partitions of the associated block structure on Z_n.  ``weak_iso_map`` is
+the point bijection between weight tuples and Z_n.
 
 Node labels are 0-based internally; JSON and DOT output use 1-based
 labels to match the usual diagram conventions.
@@ -20,7 +22,7 @@ from itertools import permutations, product
 from typing import TYPE_CHECKING
 
 from .errors import InternalConsistencyError
-from .lattice import DivisorLattice
+from .lattice import DivisorLattice, lattice_closure
 from .arith import factorize
 
 if TYPE_CHECKING:
@@ -185,53 +187,40 @@ def complement_weight_product(p: WeightedPoset, j: frozenset[int]) -> int:
 
 
 def poset_to_lattice(p: WeightedPoset) -> DivisorLattice:
-    """Lattice of complementary weight products over all ancestral sets."""
-    members = {complement_weight_product(p, j) for j in ancestral_sets(p).sets}
-    return DivisorLattice.of(p.total, members)
+    """Lattice of weight products over all down-sets (complements of ancestral sets).
+
+    A down-set's product is the lcm of its principal down-sets' products: a
+    node in one but not another is incomparable to the other's nodes, so
+    their weights are coprime.  Hence the closure of the r principal products.
+    """
+    return lattice_closure(
+        p.total, (math.prod(p.weights[i] for i in p.down_set(j)) for j in range(p.size))
+    )
 
 
 def lattice_to_poset(lat: DivisorLattice) -> WeightedPoset:
-    """Inverse construction: peel maximal elements to grow the poset node by node.
+    """Inverse construction: the join-irreducibles of the lattice, by divisibility.
 
-    The new node is attached below nothing and above exactly the nodes
-    outside the ancestral set realizing gcd(m, s), where m is the chosen
-    maximal element and s the smallest member outside the interval below
-    m.  Ties among maximal elements break to the numerically largest.
+    They are the s of the steps (top, m, s) of ``lat.peel()``.  Node i is
+    step i from the bottom, with weight top // m, and lies below node j
+    exactly when s_i divides s_j; its principal down-set must multiply to s_i.
     """
     n = lat.modulus
     if n < 2:
         raise ValueError("no poset for modulus 1")
     if not lat.is_unital:
         raise ValueError("lattice must contain 1")
-    if lat.elements == (1, n):
-        return WeightedPoset((n,), ((True,),))
-
-    m = max(lat.maximal_elements())
-    sub = lattice_to_poset(lat.below(m))
-    s = min(x for x in lat.elements if m % x != 0)
-    g = math.gcd(m, s)
-
-    fam = ancestral_sets(sub)
-    hits = [j for j in fam.sets if complement_weight_product(sub, j) == g]
-    if len(hits) != 1:
-        raise InternalConsistencyError(
-            f"ancestral product {g} realized {len(hits)} times in {sub}"
-        )
-    j_star = hits[0]
-
-    r = sub.size
-    leq = [list(row) + [False] for row in sub.leq]
-    leq.append([False] * r + [True])
-    for x in range(r):
-        if x not in j_star:
-            leq[x][r] = True
-    for x in range(r):  # transitive closure through the new top node
-        for y in range(r):
-            if leq[x][y] and leq[y][r]:
-                leq[x][r] = True
-    return WeightedPoset(
-        sub.weights + (n // m,), tuple(tuple(row) for row in leq)
-    )
+    steps = lat.peel()[::-1]
+    weights = tuple(top // m for top, m, _ in steps)
+    irreducibles = [s for _, _, s in steps]
+    leq = tuple(tuple(b % a == 0 for b in irreducibles) for a in irreducibles)
+    for j, s in enumerate(irreducibles):
+        below = math.prod(w for w, row in zip(weights, leq) if row[j])
+        if below != s:
+            raise InternalConsistencyError(
+                f"down-set of node {j + 1} multiplies to {below}, not {s}, in {lat.elements}"
+            )
+    return WeightedPoset(weights, leq)
 
 
 def _strides(weights: tuple[int, ...]) -> tuple[int, ...]:

@@ -447,45 +447,27 @@ def basic_sets_from_lattice(lat: DivisorLattice) -> RationalSRing:
 def generator_subset(lat: DivisorLattice, verify: bool = True) -> frozenset[int]:
     """A trace-closed subset whose generated Schur ring has group basis ``lat``.
 
-    Follows the recursive construction: peel a maximal element m, generate
-    the interval below it inside the subgroup of order m, and adjoin the
-    stripped subgroup of the smallest member outside the interval.  The
-    result never contains 0 and is verified by closure unless disabled.
+    Walks ``lat.peel()`` from the bottom up.  At a step (top, m, s) the set
+    built so far generates the interval below m inside Z_m; it is embedded
+    as the subgroup of order m in Z_top and joined by the subgroup of
+    order s stripped of the one of order gcd(m, s).  The result never
+    contains 0 and is verified by closure unless disabled.
     """
     if not lat.is_unital:
         raise ValueError("lattice must contain 1")
-    s = _generator_subset_rec(lat)
+    r: frozenset[int] = frozenset()
+    for n, m, s in reversed(lat.peel()):
+        # The interval below m needs a generator of Z_m on the correct side
+        # of r; switch to the complement in Z_m \ {0} when it is not.
+        unit_set = set(units(m))
+        if (not r & unit_set) if s < n else unit_set <= r:
+            r = frozenset(range(1, m)) - r
+        stripped = subgroup(n, s) - subgroup(n, math.gcd(m, s))
+        r = frozenset(x * (n // m) % n for x in r) | stripped
     if verify:
-        got = group_basis(generate_sring(lat.modulus, s)).lattice
+        got = group_basis(generate_sring(lat.modulus, r)).lattice
         if got != lat:
             raise InternalConsistencyError(
                 f"generator subset for {lat.elements} closed to {got.elements}"
             )
-    return s
-
-
-def _generator_subset_rec(lat: DivisorLattice) -> frozenset[int]:
-    n = lat.modulus
-    if lat.elements == (1,):
-        return frozenset()
-    if lat.elements == (1, n):
-        return frozenset(range(1, n))
-
-    m = max(lat.maximal_elements())
-    r = _generator_subset_rec(lat.below(m))
-    s = min(x for x in lat.elements if m % x != 0)
-    g = math.gcd(m, s)
-    stripped = subgroup(n, s) - subgroup(n, g)
-
-    # The recursion needs a generator of the order-m subgroup on the correct
-    # side of r; switch to the complement in Z_m \ {0} when it is not.
-    unit_set = set(units(m))
-    if s < n:
-        if not (r & unit_set):
-            r = frozenset(range(1, m)) - r
-    else:
-        if unit_set <= r:
-            r = frozenset(range(1, m)) - r
-
-    embedded = frozenset((x * (n // m)) % n for x in r)
-    return embedded | stripped
+    return r

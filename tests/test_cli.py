@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -267,6 +269,54 @@ class TestRequestValidation:
     def test_seedless_flag_is_inert(self, capsys):
         code, out, _ = run(capsys, "--seedless", "enumerate", "2", "--format", "json")
         assert code == 0
+
+    @pytest.mark.parametrize("command", ["analyze", "export-dot"])
+    def test_modulus_zero_is_rejected_before_parsing_residues(self, capsys, command):
+        code, out, err = run(capsys, command, "0", "--set", "1")
+        assert (code, out, err) == (2, "", "error: n must be at least 2\n")
+
+
+csv_tokens = st.lists(
+    st.integers(-70, 70).map(str) | st.sampled_from(["", " ", "x", "-", "1.5", "0x3"]),
+    max_size=4,
+).map(",".join)
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv for one subcommand, sized so that no run is slow."""
+    n = draw(st.integers(-2, 64))
+    command = draw(st.sampled_from(["analyze", "export-dot", "enumerate"]))
+    argv = [command, str(n)]
+    if command == "enumerate":
+        argv += draw(st.lists(st.sampled_from(["--format=json", "--format=text"]), max_size=1))
+        if n <= 20 and draw(st.booleans()):
+            argv.append("--verify")
+        return argv
+    for flag in draw(st.sampled_from([["--set"], ["--divisors"], ["--set", "--divisors"], []])):
+        argv.append(f"{flag}={draw(csv_tokens)}")  # "=" keeps a leading "-" a value
+    if command == "export-dot":
+        argv += draw(st.lists(st.just("--poset"), max_size=1))
+        return argv
+    argv += draw(st.lists(st.sampled_from(["--format=json", "--format=text", "--format=dot"]),
+                          max_size=1))
+    argv += draw(st.lists(st.just("--generators"), max_size=1))
+    argv += draw(st.lists(st.just("--spectrum"), max_size=1))
+    if n <= 40:
+        argv += draw(st.lists(st.just("--oracle"), max_size=1))
+    return argv
+
+
+@given(argv=cli_argv())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_argv_ends_in_an_answer_or_a_diagnosis(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
 def reference_dump(payload) -> str:

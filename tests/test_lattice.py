@@ -121,6 +121,26 @@ class TestIntervals:
                     L.above(m)  # constructors validate the invariants
 
 
+class TestPeel:
+    def test_full_lattice_of_12(self):
+        assert full_lattice(12).peel() == [(12, 6, 4), (6, 3, 2), (3, 1, 3)]
+
+    def test_trivial_lattice_is_one_step(self):
+        assert trivial_lattice(7).peel() == [(7, 1, 7)]
+        assert trivial_lattice(1).peel() == []
+
+    def test_steps_follow_the_rule(self):
+        for n in range(2, 61):
+            for L in sublattices(n):
+                lat = L
+                for top, m, s in L.peel():
+                    assert top == lat.modulus
+                    assert m == max(lat.maximal_elements())
+                    assert s == min(x for x in lat if m % x != 0)
+                    lat = lat.below(m)
+                assert lat.elements == (1,)
+
+
 class TestComplementIdentity:
     def test_striking_choice(self, striking_lattice):
         w = complement_identity_check(striking_lattice, m=18)

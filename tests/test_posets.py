@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ratcirc import (
     DivisorLattice,
+    InternalConsistencyError,
     WeightedPoset,
     ancestral_sets,
     antichain,
@@ -13,6 +14,7 @@ from ratcirc import (
     coset_partition,
     crested_product,
     equality_partition,
+    full_lattice,
     is_simple_lattice,
     lattice_to_poset,
     orthogonality_check,
@@ -22,11 +24,44 @@ from ratcirc import (
     poset_to_lattice,
     simple_reduction_applies,
     sublattices,
+    tau,
     trivial_lattice,
     universal_partition,
     weak_iso_map,
 )
 from ratcirc.posets import PartitionOfZn, complement_weight_product, find_n_subposet
+
+
+def reference_poset_to_lattice(p):
+    """Complementary weight products over all 2^r subsets that are ancestral."""
+    members = {complement_weight_product(p, j) for j in ancestral_sets(p).sets}
+    return DivisorLattice.of(p.total, members)
+
+
+def reference_lattice_to_poset(lat):
+    """The poset grown node by node: peel a maximal m, recurse below it, and
+    attach a new top node above the nodes outside the one ancestral set
+    whose complementary product is gcd(m, s), then close transitively."""
+    n = lat.modulus
+    if lat.elements == (1, n):
+        return WeightedPoset((n,), ((True,),))
+    m = max(lat.maximal_elements())
+    sub = reference_lattice_to_poset(lat.below(m))
+    s = min(x for x in lat.elements if m % x != 0)
+    g = math.gcd(m, s)
+    hits = [j for j in ancestral_sets(sub).sets if complement_weight_product(sub, j) == g]
+    assert len(hits) == 1
+    r = sub.size
+    leq = [list(row) + [False] for row in sub.leq]
+    leq.append([False] * r + [True])
+    for x in range(r):
+        if x not in hits[0]:
+            leq[x][r] = True
+    for x in range(r):
+        for y in range(r):
+            if leq[x][y] and leq[y][r]:
+                leq[x][r] = True
+    return WeightedPoset(sub.weights + (n // m,), tuple(tuple(row) for row in leq))
 
 
 class TestWeightedPosetValidation:
@@ -123,6 +158,42 @@ class TestLatticeToPoset:
         for n in range(2, 61):
             for lat in sublattices(n):
                 assert poset_to_lattice(lattice_to_poset(lat)) == lat
+
+
+class TestBirkhoffDictionary:
+    def test_matches_the_subset_search_references(self):
+        for n in range(2, 301):
+            if tau(n) > 10:
+                continue
+            for lat in sublattices(n, max_tau=10):
+                p = lattice_to_poset(lat)
+                assert p == reference_lattice_to_poset(lat), lat.elements
+                assert poset_to_lattice(p) == reference_poset_to_lattice(p) == lat
+
+    def test_arbitrary_posets_match_the_subset_search(self):
+        n_free = poset_from_pairs((3, 2, 3), [(0, 2), (1, 2)])
+        for p in (chain((2, 2, 3)), antichain((2, 3, 5)), n_free):
+            assert poset_to_lattice(p) == reference_poset_to_lattice(p)
+
+    def test_nodes_are_the_join_irreducibles(self, striking_lattice):
+        p = lattice_to_poset(striking_lattice)
+        products = [math.prod(p.weights[i] for i in p.down_set(j)) for j in range(p.size)]
+        assert products == [s for _, _, s in reversed(striking_lattice.peel())]
+
+    def test_chain_of_31_twos_round_trips(self):
+        lat = full_lattice(2 ** 31)
+        p = lattice_to_poset(lat)
+        assert p == chain((2,) * 31)
+        assert poset_to_lattice(p) == lat
+
+    def test_wrong_peel_step_is_an_internal_error(self, monkeypatch):
+        lat = full_lattice(12)
+        # s = 6 divides m = 6; the nodes would still form a valid weighted
+        # poset, so only the down-set product check can catch it.
+        wrong = [(12, 6, 6), (6, 3, 2), (3, 1, 3)]
+        monkeypatch.setattr(DivisorLattice, "peel", lambda self: wrong)
+        with pytest.raises(InternalConsistencyError):
+            lattice_to_poset(lat)
 
 
 class TestWeakIsoMap:

@@ -26,6 +26,7 @@ from ratcirc import (
     orbit_union,
     subgroup,
     sublattices,
+    tau,
     trace,
     trivial_lattice,
 )
@@ -428,7 +429,36 @@ class TestStructureConstants:
                 assert total == sizes[i] * sizes[j]
 
 
+def reference_generator_subset(lat):
+    """The recursive construction: peel a maximal m, recurse below it,
+    put the result on the correct side, embed it in the subgroup of order
+    m and adjoin the stripped subgroup of order s."""
+    n = lat.modulus
+    if lat.elements == (1,):
+        return frozenset()
+    if lat.elements == (1, n):
+        return frozenset(range(1, n))
+    m = max(lat.maximal_elements())
+    r = reference_generator_subset(lat.below(m))
+    s = min(x for x in lat.elements if m % x != 0)
+    stripped = subgroup(n, s) - subgroup(n, math.gcd(m, s))
+    unit_set = set(sring.units(m))
+    if s < n:
+        if not (r & unit_set):
+            r = frozenset(range(1, m)) - r
+    elif unit_set <= r:
+        r = frozenset(range(1, m)) - r
+    return frozenset((x * (n // m)) % n for x in r) | stripped
+
+
 class TestGeneratorSubset:
+    def test_matches_the_recursive_reference(self):
+        for n in range(1, 301):
+            if tau(n) > 10:
+                continue
+            for lat in sublattices(n, max_tau=10):
+                assert generator_subset(lat, verify=False) == reference_generator_subset(lat)
+
     def test_trivial_lattice_gives_complete_graph(self):
         assert generator_subset(trivial_lattice(6)) == frozenset(range(1, 6))
 
