@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 from .arith import factored_str, factored_value_below
 from .errors import BoundExceededError, InternalConsistencyError, NotRationalError
-from .lattice import DivisorLattice
+from .lattice import MAX_MODULUS, DivisorLattice
 from .posets import weak_iso_map
 from .gwp import gwp_generators, gwp_order, render_group_expression, transport
-from .oracle import CirculantGraph, brute_force_aut, full_verify, rational_chain, spectrum
+from .oracle import (DEFAULT_MAX_ORACLE_N, CirculantGraph, brute_force_aut, full_verify,
+                     rational_chain, spectrum)
 from . import sring
 
 _MAX_PLAIN_ORDER = 2 ** 63
@@ -40,7 +41,7 @@ class AnalysisRequest:
     include_generators: bool = False
     run_oracle: bool = False
     run_spectrum: bool = False
-    max_oracle_n: int = 40
+    max_oracle_n: int = DEFAULT_MAX_ORACLE_N
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -77,8 +78,6 @@ def _parse_divisors(n: int, text: str) -> tuple[int, ...]:
 def _request(args: argparse.Namespace, **options) -> AnalysisRequest:
     """The request named by --set or --divisors, with the given extra fields."""
     n = args.n
-    if n < 2:  # before the residues are reduced mod n
-        raise ValueError("n must be at least 2")
     return AnalysisRequest(
         n=n,
         residues=_parse_residues(n, args.set) if args.set is not None else None,
@@ -304,14 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--generators", action="store_true", help="include permutation generators")
     pa.add_argument("--oracle", action="store_true", help="confirm the order by brute force")
     pa.add_argument("--spectrum", action="store_true", help="include the eigenvalue report")
-    pa.add_argument("--max-oracle-n", type=int, default=40)
+    pa.add_argument("--max-oracle-n", type=int, default=DEFAULT_MAX_ORACLE_N)
     pa.set_defaults(func=_cmd_analyze)
 
     pe = sub.add_parser("enumerate", help="walk all divisor subsets of n")
     pe.add_argument("n", type=int)
     pe.add_argument("--verify", action="store_true", help="compare with the brute-force oracle")
     pe.add_argument("--format", choices=("json", "text"), default="text")
-    pe.add_argument("--max-oracle-n", type=int, default=40)
+    pe.add_argument("--max-oracle-n", type=int, default=DEFAULT_MAX_ORACLE_N)
     pe.set_defaults(func=_cmd_enumerate)
 
     pd = sub.add_parser("export-dot", help="DOT Hasse diagram of the derived lattice")
@@ -326,6 +325,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # One range check for every command, before any residue is reduced mod n.
+        if args.n < 2:
+            raise ValueError("n must be at least 2")
+        if args.n > MAX_MODULUS:
+            raise ValueError("n must be at most 2^32")
         return args.func(args)
     except NotRationalError as e:
         print(f"error: {e}", file=sys.stderr)

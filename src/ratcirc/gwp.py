@@ -6,8 +6,13 @@ of the projection onto the strict ancestors of i.  Generators are one
 adjacent transposition per coordinate per ancestor pattern, which is
 enough to generate the whole product while keeping the generating set
 linear in the degree.  ``transport`` conjugates the action onto Z_n via
-the coefficient bijection and checks the result against every basic
-Cayley graph of the corresponding lattice.
+the coefficient bijection and checks that it keeps the group block
+structure of the poset's lattice L: the coset partition of Z_l for every
+l in L.  That is the same check as one against every basic Cayley graph
+of L's rational ring.  There the class of z is the least l in L with z in
+Z_l, and L is gcd-closed, so z lies in Z_l exactly when class(z) divides
+l.  Hence class(g(y) - g(x)) = class(y - x) for all x, y exactly when,
+for every l in L, y - x lies in Z_l if and only if g(y) - g(x) does.
 
 Wreath products are written active part first: in A wr C the group A
 permutes the blocks and C acts inside each block, so |A wr C| equals
@@ -30,7 +35,6 @@ from .posets import (
     poset_to_lattice,
     weak_iso_map,
 )
-from . import sring
 
 DEFAULT_MAX_DEGREE = 200
 
@@ -99,9 +103,9 @@ def transport(
 ) -> list[Perm]:
     """Conjugate generators from tuple space onto Z_n via the coefficient map.
 
-    With verification on, every transported generator must be an
-    automorphism of every basic Cayley graph of the poset's lattice; a
-    failure means the pipeline is inconsistent and raises.
+    With verification on, every transported generator must permute the
+    cosets of Z_l for each l in the poset's lattice (so it preserves every
+    basic Cayley graph); a failure means the pipeline is inconsistent.
     """
     to_zn = weak_iso_map(p).points
     n = p.total
@@ -113,44 +117,33 @@ def transport(
         out.append(Perm(image))
 
     if verify:
-        ring = sring.basic_sets_from_lattice(poset_to_lattice(p)).ring
-        _check_basic_graphs(out, ring)
+        _check_block_structure(out, poset_to_lattice(p))
     return out
 
 
-def _check_basic_graphs(perms, ring: sring.SchurRing) -> None:
-    """Raise unless every permutation is an automorphism of every basic Cayley graph.
+def _check_block_structure(perms, lat: DivisorLattice) -> None:
+    """Raise unless each permutation permutes the cosets of Z_l for every inner l of ``lat``.
 
-    g preserves the graph of each basic set exactly when
-    class(g(y) - g(x)) == class(y - x) for all x, y.  Pairs of fixed points
-    satisfy this trivially, so only the rows and columns of g's support are
-    compared.  The error names the first basic set, in ring order, whose
-    graph g breaks.
+    The cosets of Z_l are the residue classes mod n/l, all of size l, so g
+    permutes them when each class maps into one class.  A class that holds a
+    fixed point (fewer than l moved points) must map into itself, so only
+    the support is read.  The error names the first generator and least l.
     """
-    import numpy as np
-
-    n = ring.n
-    cls = np.array(ring.class_index(), dtype=np.int32)
-    points = np.arange(n, dtype=np.int32)
+    n = lat.modulus
     for g in perms:
-        img = np.array(g.image, dtype=np.int32)
-        support = np.flatnonzero(img != points)
-        if not support.size:
-            continue
-        # row k, column y: differences from x = support[k] to y
-        moved = (img[None, :] - img[support, None]) % n
-        fixed = (points[None, :] - support[:, None]) % n
-        broken = []
-        for sign in (1, -1):  # x in the support, then y in the support
-            want = cls[(sign * fixed) % n]
-            bad = cls[(sign * moved) % n] != want
-            if bad.any():
-                broken.append(int(want[bad].min()))
-        if broken:
-            t = ring.basic_sets[min(broken)]
-            raise InternalConsistencyError(
-                f"transported generator {g} breaks the basic graph of {sorted(t)}"
-            )
+        support = [x for x, y in enumerate(g.image) if x != y]
+        for l in lat.elements[1:-1]:  # Z_1 and Z_n are kept by any bijection
+            m = n // l
+            images: dict[int, list[int]] = {}  # class mod m -> its moved points' images mod m
+            for x in support:
+                images.setdefault(x % m, []).append(g.image[x] % m)
+            for c, targets in images.items():
+                want = c if len(targets) < l else targets[0]
+                if any(t != want for t in targets):
+                    raise InternalConsistencyError(
+                        f"transported generator {g} does not permute the cosets "
+                        f"of the subgroup of order {l}"
+                    )
 
 
 @dataclass(frozen=True)

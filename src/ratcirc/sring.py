@@ -101,8 +101,9 @@ def trace(n: int, s) -> frozenset[int]:
 
 
 def is_trace_closed(n: int, s) -> bool:
+    """True iff s mod n fills the orbits O_d it meets: their sizes phi(n/d) sum to |s|."""
     s = frozenset(x % n for x in s)
-    return trace(n, s) == s
+    return sum(totient(n // d) for d in {math.gcd(x, n) for x in s}) == len(s)
 
 
 @dataclass(frozen=True)
@@ -199,9 +200,7 @@ def generate_sring(n: int, s) -> SchurRing:
     s = frozenset(x % n for x in s)
     if n == 1:
         return SchurRing(1, (frozenset({0}),))
-    # s lies in the orbits it meets, so it is their union iff the sizes agree.
-    # (Not ``trace``: that would build the union.)
-    if sum(totient(n // d) for d in {math.gcd(x, n) for x in s}) == len(s):
+    if is_trace_closed(n, s):
         return _orbit_sring(n, s)
     return _point_sring(n, s)
 
@@ -409,13 +408,17 @@ def group_basis(ring: SchurRing) -> RationalSRing:
     """Extract the divisor lattice {l : Z_l is a union of basic sets}.
 
     Defined for rational rings only, and the one place a caller needs to
-    check rationality: raises ``NotRationalError`` otherwise.  The
-    reconstruction from the lattice is cross-checked before returning.
+    check rationality: raises ``NotRationalError`` otherwise.  Members are
+    read on the tau(n) orbits O_d.  The reconstruction from the lattice is
+    cross-checked before returning.
     """
     if not is_rational(ring):
         raise NotRationalError("group basis exists only for rational Schur rings")
     n = ring.n
-    members = [l for l in divisors(n) if ring.is_union_of_classes(subgroup(n, l))]
+    # Z_l is the union of the O_d with (n/l) | d, each within the class of d.
+    ds, index = divisors(n), ring.class_index()
+    inside = {l: {index[d % n] for d in ds if d % (n // l) == 0} for l in ds}
+    members = [l for l in ds if all(index[d % n] not in inside[l] for d in ds if d % (n // l))]
     lat = DivisorLattice.of(n, members)
     rebuilt = basic_sets_from_lattice(lat)
     if rebuilt.ring != ring:

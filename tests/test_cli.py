@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratcirc import sring
-from ratcirc.cli import AnalysisRequest, _analysis_payload, _dump_json, main
-from ratcirc.oracle import CirculantGraph, full_verify, spectrum
+from ratcirc.cli import AnalysisRequest, _analysis_payload, _dump_json, build_parser, main
+from ratcirc.oracle import DEFAULT_MAX_ORACLE_N, CirculantGraph, full_verify, spectrum
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -275,6 +275,27 @@ class TestRequestValidation:
         code, out, err = run(capsys, command, "0", "--set", "1")
         assert (code, out, err) == (2, "", "error: n must be at least 2\n")
 
+    @pytest.mark.parametrize("argv", [
+        "analyze 1000000000000000000000 --divisors 1",
+        "analyze 18446744073709551557 --divisors 1",
+        "export-dot 1000000000000000000000 --set 1",
+        "enumerate 18446744073709551557",  # a prime: factorizing it would not end
+        "analyze 4294967297 --divisors 1",
+    ])
+    def test_modulus_above_2_32_is_rejected_up_front(self, argv, src_env):
+        # In a subprocess, so that a regression hangs or allocates there and times out.
+        done = subprocess.run([sys.executable, "-m", "ratcirc.cli", *argv.split()], env=src_env,
+                              capture_output=True, text=True, timeout=30)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "error: n must be at most 2^32\n")
+
+    def test_max_oracle_n_defaults_follow_the_oracle_bound(self):
+        parser = build_parser()
+        assert parser.parse_args(["analyze", "6", "--set", "1"]).max_oracle_n == DEFAULT_MAX_ORACLE_N
+        assert parser.parse_args(["enumerate", "6"]).max_oracle_n == DEFAULT_MAX_ORACLE_N
+        req = AnalysisRequest(n=6, residues=frozenset({1}), divisor_subset=None)
+        assert req.max_oracle_n == DEFAULT_MAX_ORACLE_N
+
 
 csv_tokens = st.lists(
     st.integers(-70, 70).map(str) | st.sampled_from(["", " ", "x", "-", "1.5", "0x3"]),
@@ -376,16 +397,16 @@ json.dump([run(argv.split()) for argv in sys.argv[1:]], sys.stdout)
 class TestNumpyFree:
     def test_rational_path_does_not_import_numpy(self, bench_workloads, src_env):
         argv = ["analyze 5040 --divisors 2,3,5,7,8,9 --format json", "enumerate 12 --verify",
-                # These still build n-sized vectors: the transport check, the DFT
-                # and the point-level refinement.
                 "analyze 360 --divisors 2,3,5,8,9 --generators",
+                "analyze 36 --divisors 2,3,4,6 --oracle",
+                # These still build n-sized vectors: the DFT and the point-level refinement.
                 "analyze 12 --divisors 2 --spectrum", "analyze 120 --set 1,2,3"]
         done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], env=src_env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        large, verify, generators, spec, reject = json.loads(done.stdout)
+        large, verify, generators, oracle, spec, reject = json.loads(done.stdout)
 
-        assert not large["numpy"] and not verify["numpy"]
+        assert not any(r["numpy"] for r in (large, verify, generators, oracle))
         assert (large["code"], json.loads(large["out"])["rank"]) == (0, 41)
         assert verify["code"] == 0
         assert verify["out"].endswith("32 rational circulants on Z_12\n")
@@ -395,6 +416,8 @@ class TestNumpyFree:
         assert f"lattice: {{{','.join(map(str, req.expected['lattice']))}}}" in generators["out"]
         assert f"expression: {req.expected['expression']}" in generators["out"]
         assert generators["out"].endswith(f"generators: {req.generator_count} permutations\n")
+        assert (oracle["code"], oracle["err"]) == (0, "")
+        assert "oracle order: 2^11 · 3^4 = 165888 (match: True)\n" in oracle["out"]
 
         assert (spec["code"], spec["err"]) == (0, "")
         assert spec["out"] == (

@@ -7,6 +7,7 @@ from ratcirc import gwp, lattice, oracle, perms, sring
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 BOUNDS = {
+    "lattice.MAX_MODULUS": lattice.MAX_MODULUS,
     "lattice.DEFAULT_MAX_TAU": lattice.DEFAULT_MAX_TAU,
     "perms.DEFAULT_MAX_TWO_ORBIT_DEGREE": perms.DEFAULT_MAX_TWO_ORBIT_DEGREE,
     "oracle.DEFAULT_MAX_ORACLE_N": oracle.DEFAULT_MAX_ORACLE_N,

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +61,21 @@ def first_broken_basic_set(g, p):
             for s in t:
                 if (g.image[(x + s) % n] - gx) % n not in t:
                     return t
+    return None
+
+
+def least_broken_subgroup(g, lat):
+    """Reference for transport's error: the subgroup order it names.
+
+    Returns the least inner l of ``lat`` with some x = y (mod n/l) whose
+    images differ mod n/l, scanning all pairs, or None when there is none.
+    """
+    n = lat.modulus
+    for l in lat.elements[1:-1]:
+        m = n // l
+        if any((x - y) % m == 0 and (g.image[x] - g.image[y]) % m
+               for x in range(n) for y in range(n)):
+            return l
     return None
 
 
@@ -183,8 +198,23 @@ class TestTransport:
         assert sorted(first_broken_basic_set(g, p)) == [1, 2, 4, 5]
         from ratcirc import InternalConsistencyError
 
-        with pytest.raises(InternalConsistencyError, match=r"graph of \[1, 2, 4, 5\]$"):
+        # Z_2's cosets are the classes mod 3: fixed 4 keeps {1, 4}, so 1 -> 2 breaks it.
+        with pytest.raises(InternalConsistencyError, match=r"order 2$"):
             transport([h], p)
+
+    def test_exhaustive_z6_matches_scalar_reference(self):
+        from ratcirc import InternalConsistencyError
+
+        for lat in sublattices(6):
+            p = lattice_to_poset(lat)
+            for image in permutations(range(6)):
+                h = Perm(image)
+                (g,) = transport([h], p, verify=False)
+                if first_broken_basic_set(g, p) is None:
+                    transport([h], p)
+                else:
+                    with pytest.raises(InternalConsistencyError):
+                        transport([h], p)
 
 
 class TestBuildGwp:
@@ -264,6 +294,7 @@ def test_vectorised_check_matches_scalar_reference(data):
         broken = first_broken_basic_set(g, p)
         if broken is not None:
             break
+    lat = poset_to_lattice(p)
     if broken is None:
         transport(perms, p, verify=True)
     else:
@@ -271,4 +302,7 @@ def test_vectorised_check_matches_scalar_reference(data):
 
         with pytest.raises(InternalConsistencyError) as err:
             transport(perms, p, verify=True)
-        assert str(err.value).endswith(f"breaks the basic graph of {sorted(broken)}")
+        assert str(err.value) == (
+            f"transported generator {g} does not permute the cosets "
+            f"of the subgroup of order {least_broken_subgroup(g, lat)}"
+        )

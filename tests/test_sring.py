@@ -169,6 +169,7 @@ class TestAgainstReferences:
         if data.draw(st.booleans(), label="close"):
             s = reference_trace(n, s)
         assert trace(n, s) == reference_trace(n, s)
+        assert is_trace_closed(n, s) == (trace(n, s) == frozenset(x % n for x in s))
         assert generate_sring(n, s) == reference_generate_sring(n, s)
 
     @pytest.mark.parametrize("n", BENCH_ANALYZE_MODULI, ids=str)
@@ -374,6 +375,18 @@ class TestGroupBasis:
     def test_rejects_non_rational(self):
         with pytest.raises(NotRationalError):
             group_basis(generate_sring(5, {1}))
+
+    def test_orbit_members_match_subgroup_unions(self):
+        # Reference: the members l whose subgroup Z_l is a union of classes, tested on points.
+        for n in range(2, 61):
+            ds = divisors(n)
+            if len(ds) > 12:
+                continue
+            for k in range(len(ds)):
+                for subset in combinations(ds[:-1], k):
+                    ring = generate_sring(n, orbit_union(n, subset))
+                    want = tuple(l for l in ds if ring.is_union_of_classes(subgroup(n, l)))
+                    assert group_basis(ring).lattice.elements == want, (n, subset)
 
 
 class TestBasicSetsFromLattice:
