@@ -6,6 +6,8 @@ order twice (closed formula vs. backtracking search) and reports any
 mismatch, with the seconds each modulus took.  Writes the full
 per-instance JSON report when --out is given.
 An n with more than 12 divisors is skipped, with the bound it exceeds.
+An internal inconsistency (the oracle's own cross-check failing) is
+reported for its n and counted as a failure; the range goes on.
 
 Example:
     python3 scripts/full_verify.py 2 20 --out verify_report.json
@@ -15,16 +17,21 @@ import json
 import sys
 import time
 
-from ratcirc import BoundExceededError, full_verify
+from ratcirc import BoundExceededError, InternalConsistencyError, full_verify
+from ratcirc.oracle import DEFAULT_MAX_ORACLE_N
 
 
-def main() -> int:
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("lo", type=int, help="first modulus (inclusive)")
     ap.add_argument("hi", type=int, help="last modulus (inclusive)")
-    ap.add_argument("--max-oracle-n", type=int, default=40)
+    ap.add_argument("--max-oracle-n", type=int, default=DEFAULT_MAX_ORACLE_N)
     ap.add_argument("--out", help="path for the JSON report")
-    args = ap.parse_args()
+    return ap
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
 
     reports = []
     bad = 0
@@ -35,6 +42,10 @@ def main() -> int:
             rep = full_verify(n, max_oracle_n=args.max_oracle_n)
         except BoundExceededError as e:
             print(f"n={n:3d}: skipped, {e}")
+            continue
+        except InternalConsistencyError as e:
+            print(f"n={n:3d}: INTERNAL ERROR: {e}")
+            bad += 1
             continue
         reports.append(rep.to_json_dict())
         verified = sum(1 for r in rep.records if r.match is True)

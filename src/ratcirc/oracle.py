@@ -78,12 +78,14 @@ class CirculantGraph:
 
 def _stable_coloring(n: int, out_m: list[int], in_m: list[int]) -> list[int]:
     """Iterated neighborhood color refinement on the arc relation."""
+    outs = [[u for u in range(n) if m >> u & 1] for m in out_m]
+    ins = [[u for u in range(n) if m >> u & 1] for m in in_m]
     colors = [0] * n
     while True:
         sig = []
         for v in range(n):
-            out_cols = sorted(colors[u] for u in range(n) if out_m[v] >> u & 1)
-            in_cols = sorted(colors[u] for u in range(n) if in_m[v] >> u & 1)
+            out_cols = sorted(colors[u] for u in outs[v])
+            in_cols = sorted(colors[u] for u in ins[v])
             sig.append((colors[v], tuple(out_cols), tuple(in_cols)))
         table: dict[tuple, int] = {}
         fresh = []
@@ -96,39 +98,57 @@ def _stable_coloring(n: int, out_m: list[int], in_m: list[int]) -> list[int]:
         colors = fresh
 
 
+def _place(
+    n: int,
+    out_m: list[int],
+    in_m: list[int],
+    img: list[int],
+    cand: list[int],
+    v: int,
+    w: int,
+) -> list[int] | None:
+    """Candidate bitmasks after mapping v to w, or None when one empties.
+
+    Every vertex u unmapped in ``img`` (image -1) other than v keeps the
+    images whose arcs to and from w match its arcs to and from v.
+    """
+    full = (1 << n) - 1
+    new = cand[:]
+    out_v, in_v = out_m[v], in_m[v]
+    out_w, in_w = out_m[w], in_m[w]
+    not_out_w, not_in_w = ~out_w & full, ~in_w & full
+    for u in range(n):
+        if img[u] >= 0 or u == v:
+            continue
+        m = new[u]
+        m &= out_w if out_v >> u & 1 else not_out_w
+        m &= in_w if in_v >> u & 1 else not_in_w
+        if not m:
+            return None
+        new[u] = m
+    return new
+
+
 def _search_automorphism(
     n: int,
     out_m: list[int],
     in_m: list[int],
-    color_mask: list[int],
-    colors: list[int],
+    cand: list[int],
+    img: list[int],
     forced: list[tuple[int, int]],
 ):
-    """One automorphism extending the forced partial map, or None.
+    """One automorphism extending a partial map and the forced pairs, or None.
 
-    Backtracking over vertex images with per-vertex candidate bitmasks;
-    mapping a vertex immediately prunes every unmapped candidate set
-    through both arc directions.
+    ``img`` is the partial map (-1 where unmapped) and ``cand`` the
+    per-vertex candidate bitmasks already pruned by it; neither is changed.
+    Backtracking over vertex images: mapping a vertex immediately prunes
+    every unmapped candidate set through both arc directions.
     """
-    full = (1 << n) - 1
-    cand = [color_mask[colors[v]] for v in range(n)]
-    img = [-1] * n
+    img = img[:]
     used = 0
-
-    def place(v: int, w: int, cand):
-        new = cand[:]
-        out_v, in_v = out_m[v], in_m[v]
-        out_w, in_w = out_m[w], in_m[w]
-        for u in range(n):
-            if img[u] >= 0 or u == v:
-                continue
-            m = new[u]
-            m &= out_w if out_v >> u & 1 else ~out_w & full
-            m &= in_w if in_v >> u & 1 else ~in_w & full
-            if not m:
-                return None
-            new[u] = m
-        return new
+    for w in img:
+        if w >= 0:
+            used |= 1 << w
 
     def dfs(cand, used) -> bool:
         best, best_count = -1, n + 1
@@ -149,7 +169,7 @@ def _search_automorphism(
             w = (m & -m).bit_length() - 1
             m &= m - 1
             img[best] = w
-            nxt = place(best, w, cand)
+            nxt = _place(n, out_m, in_m, img, cand, best, w)
             if nxt is not None and dfs(nxt, used | (1 << w)):
                 return True
             img[best] = -1
@@ -159,13 +179,13 @@ def _search_automorphism(
         if not cand[v] >> w & 1 or used >> w & 1:
             return None
         img[v] = w
-        nxt = place(v, w, cand)
+        nxt = _place(n, out_m, in_m, img, cand, v, w)
         if nxt is None:
             return None
         cand = nxt
         used |= 1 << w
 
-    return list(img) if dfs(cand, used) else None
+    return img if dfs(cand, used) else None
 
 
 def _close(orbit: set[int], gens: list[Perm]) -> set[int]:
@@ -197,6 +217,10 @@ def brute_force_aut(
     most log2|G| generators.  They are handed to the chain in ascending
     base order, and the product of the orbit sizes is the order,
     cross-checked against the chain.
+
+    The prefix states, the candidate sets after fixing 0..k-1, are built
+    once per graph for k = 0..n-1 (n-1 placements), and every search at
+    level i starts from state i: it places i -> y and nothing before it.
     """
     n = graph.n
     if n > max_n:
@@ -205,30 +229,31 @@ def brute_force_aut(
         )
     out_m, in_m = graph.out_masks(), graph.in_masks()
     colors = _stable_coloring(n, out_m, in_m)
-    ncol = max(colors) + 1
-    color_mask = [0] * ncol
+    color_mask = [0] * (max(colors) + 1)
     for v, c in enumerate(colors):
         color_mask[c] |= 1 << v
+    # prefix[k]: the candidate bitmasks once 0..k-1 are fixed.  The identity
+    # is an automorphism, so fixing a point never empties a candidate set.
+    fixed = [-1] * n
+    prefix = [[color_mask[c] for c in colors]]
+    for k in range(n - 1):
+        fixed[k] = k
+        prefix.append(_place(n, out_m, in_m, fixed, prefix[k], k, k))
 
     gens: list[Perm] = []  # ascending base order
     order = 1
     for i in range(n - 1, -1, -1):
-        forced = [(v, v) for v in range(i)]
-        prefix = (1 << i) - 1
+        fixed = list(range(i)) + [-1] * (n - i)
+        cand = prefix[i]
         orbit = {i}  # every generator found so far fixes i
         tried = {i}
         level_gens: list[Perm] = []
         for y in range(i + 1, n):
-            if y in tried or colors[y] != colors[i]:
-                continue
-            if (out_m[i] & prefix) != (out_m[y] & prefix):
-                continue
-            if (in_m[i] & prefix) != (in_m[y] & prefix):
+            # y is a candidate for i iff it has i's color and i's arcs to 0..i-1
+            if y in tried or not cand[i] >> y & 1:
                 continue
             tried |= _close({y}, gens)
-            img = _search_automorphism(
-                n, out_m, in_m, color_mask, colors, forced + [(i, y)]
-            )
+            img = _search_automorphism(n, out_m, in_m, cand, fixed, [(i, y)])
             if img is None:
                 continue
             level_gens.append(Perm(img))

@@ -172,6 +172,15 @@ class _Level:
 # moves.  Each Schreier generator u_p s u_{s(p)}^-1 is sifted once: the
 # per-point counters remember which pairs are done, and a level is only
 # revisited for the pairs that a new generator or orbit point added.
+#
+# Level i is sifted only while levels i+1.. are complete: _schreier_sims
+# walks back down through every level a new strong generator joined before
+# it returns to i.  So every member of the group the strong generators of
+# level i+1 span strips to the identity there, and a Schreier generator
+# already known to be one (the identity, a strong generator of level i+1,
+# or one that stripped to the identity earlier in the same pass) is skipped
+# without a strip.  The first nontrivial residue, and with it the chain,
+# is the same as when every Schreier generator is stripped.
 
 
 def _strip(
@@ -198,6 +207,9 @@ def _sift_level(levels: list[_Level], i: int, identity: tuple[int, ...]) -> int 
     """
     lv = levels[i]
     gens, inverse, points, paired = lv.gens, lv.inverse, lv.points, lv.paired
+    known = {identity}
+    if i + 1 < len(levels):
+        known.update(g for g, _ in levels[i + 1].gens)
     for k in range(lv.pending, len(points)):
         if paired[k] == len(gens):
             continue
@@ -207,10 +219,11 @@ def _sift_level(levels: list[_Level], i: int, identity: tuple[int, ...]) -> int 
             s = gens[j][0]
             paired[k] = j + 1
             schreier = _compose(_compose(u, s), inverse[s[p]])
-            if schreier == identity:
+            if schreier in known:
                 continue
             h, depth = _strip(levels, schreier, i + 1)
             if h == identity:
+                known.add(schreier)
                 continue
             lv.pending = k
             if depth == len(levels):

@@ -26,7 +26,7 @@ from ratcirc import (
     sublattices,
     trivial_lattice,
 )
-from ratcirc import sring
+from ratcirc import InternalConsistencyError, oracle, sring
 from ratcirc.arith import factored_value
 from ratcirc.oracle import _search_automorphism, _stable_coloring, rational_chain
 
@@ -44,6 +44,7 @@ def reference_brute_force_order(graph: CirculantGraph) -> int:
     color_mask = [0] * (max(colors) + 1)
     for v, c in enumerate(colors):
         color_mask[c] |= 1 << v
+    cand = [color_mask[c] for c in colors]
     order = 1
     for i in range(n):
         forced = [(v, v) for v in range(i)]
@@ -58,7 +59,7 @@ def reference_brute_force_order(graph: CirculantGraph) -> int:
             if (in_m[i] & prefix) != (in_m[y] & prefix):
                 continue
             img = _search_automorphism(
-                n, out_m, in_m, color_mask, colors, forced + [(i, y)]
+                n, out_m, in_m, cand, [-1] * n, forced + [(i, y)]
             )
             if img is None:
                 continue
@@ -72,6 +73,26 @@ def reference_brute_force_order(graph: CirculantGraph) -> int:
                         frontier.append(h[p])
         order *= len(orbit)
     return order
+
+
+def reference_stable_coloring(n: int, out_m: list[int], in_m: list[int]) -> list[int]:
+    """Color refinement testing all n adjacency bits of every vertex each round."""
+    colors = [0] * n
+    while True:
+        sig = []
+        for v in range(n):
+            out_cols = sorted(colors[u] for u in range(n) if out_m[v] >> u & 1)
+            in_cols = sorted(colors[u] for u in range(n) if in_m[v] >> u & 1)
+            sig.append((colors[v], tuple(out_cols), tuple(in_cols)))
+        table: dict[tuple, int] = {}
+        fresh = []
+        for s in sig:
+            if s not in table:
+                table[s] = len(table)
+            fresh.append(table[s])
+        if fresh == colors:
+            return colors
+        colors = fresh
 
 
 def reference_diagnostic(n: int, connection) -> str:
@@ -153,10 +174,47 @@ class TestBruteForceAut:
                 # Handed over in ascending base order: one chain level per base point.
                 assert list(group.base()) == sorted(group.base()), subset
 
+    def test_chain_cross_check_catches_a_short_orbit(self, monkeypatch):
+        # Every closure of more than one point loses its largest point, so
+        # each nontrivial orbit comes out one short of the chain's.
+        close = oracle._close
+
+        def drop_one(orbit, gens):
+            close(orbit, gens)
+            if len(orbit) > 1:
+                orbit.discard(max(orbit))
+            return orbit
+
+        monkeypatch.setattr(oracle, "_close", drop_one)
+        with pytest.raises(InternalConsistencyError, match=r"orbit product \d+ != chain order \d+"):
+            brute_force_aut(CirculantGraph.of(6, {1, 5}))
+
     def test_symmetric_group_at_the_bound(self):
         group = brute_force_aut(CirculantGraph.of(40, set()))
         assert group.order() == math.factorial(40)
         assert len(group.generators) == 39
+
+
+class TestStableColoring:
+    def test_matches_reference_on_every_divisor_subset(self):
+        for n in range(2, 41):
+            proper = [d for d in divisors(n) if d != n]
+            for k in range(len(proper) + 1):
+                for subset in combinations(proper, k):
+                    g = CirculantGraph.of(n, orbit_union(n, subset))
+                    out_m, in_m = g.out_masks(), g.in_masks()
+                    assert _stable_coloring(n, out_m, in_m) == reference_stable_coloring(
+                        n, out_m, in_m
+                    ), (n, subset)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_random_sets(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=16))
+        s = data.draw(st.sets(st.integers(min_value=1, max_value=n - 1)))
+        g = CirculantGraph.of(n, s)
+        out_m, in_m = g.out_masks(), g.in_masks()
+        assert _stable_coloring(n, out_m, in_m) == reference_stable_coloring(n, out_m, in_m)
 
 
 class TestRamanujanSums:

@@ -163,6 +163,30 @@ class TestGroupOrder:
         assert product == factored_value(gwp_order(p))
         assert all(G.sift(g).is_identity() for g in gens)
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_chain_grows_from_a_shuffled_generating_set(self, data):
+        # Shuffled transported generators plus random products are not a
+        # strong generating set, so the chain grows while known members of
+        # the next level are skipped.
+        from sympy.combinatorics import Permutation as SymPerm
+        from sympy.combinatorics import PermutationGroup as SymGroup
+
+        n = data.draw(st.integers(min_value=2, max_value=40))
+        p = lattice_to_poset(data.draw(st.sampled_from(sublattices(n))))
+        gens = data.draw(st.permutations(transport(gwp_generators(p), p, verify=False)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            word = data.draw(st.lists(st.sampled_from(gens), min_size=2, max_size=4))
+            g = word[0]
+            for w in word[1:]:
+                g = g * w
+            gens.append(g)
+        G = PermutationGroup(n, gens)
+        assert G.order() == factored_value(gwp_order(p))
+        if n <= 12:
+            assert SymGroup([SymPerm(list(g.image)) for g in gens]).order() == G.order()
+        assert all(G.sift(g).is_identity() for g in gens)
+
 
 class TestMembership:
     def test_contains_generators(self):
