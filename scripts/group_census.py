@@ -30,8 +30,9 @@ def main() -> int:
                     help="refine the census by 2-orbit partitions (needs n <= 200)")
     args = ap.parse_args()
 
+    lattices = sublattices(args.n)
     signatures = set()
-    for lat in sublattices(args.n):
+    for lat in lattices:
         poset = lattice_to_poset(lat)
         order = gwp_order(poset)
         expr = render_group_expression(poset)
@@ -42,7 +43,7 @@ def main() -> int:
         signatures.add(sig)
         lattice_txt = "{" + ",".join(map(str, lat.elements)) + "}"
         print(f"{lattice_txt:<40} |G| = {factored_str(order):<18} = {factored_value(order):<12} {expr.text()}")
-    print(f"{len(sublattices(args.n))} sublattices, {len(signatures)} distinct signatures")
+    print(f"{len(lattices)} sublattices, {len(signatures)} distinct signatures")
     return 0
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .arith import factored_str, factored_value_below
 from .errors import BoundExceededError, InternalConsistencyError, NotRationalError
 from .lattice import MAX_MODULUS, DivisorLattice
+from .perms import is_subgroup_of
 from .posets import weak_iso_map
 from .gwp import gwp_generators, gwp_order, render_group_expression, transport
 from .oracle import (DEFAULT_MAX_ORACLE_N, CirculantGraph, brute_force_aut, full_verify,
@@ -137,6 +138,10 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
         if not match:
             raise InternalConsistencyError(
                 f"pipeline order {order} != oracle order {oracle_order}"
+            )
+        if not is_subgroup_of(gens, oracle_group):
+            raise InternalConsistencyError(
+                "a transported generator is not an automorphism found by the oracle"
             )
 
     if req.run_spectrum:

@@ -16,7 +16,14 @@ for every l in L, y - x lies in Z_l if and only if g(y) - g(x) does.
 
 Wreath products are written active part first: in A wr C the group A
 permutes the blocks and C acts inside each block, so |A wr C| equals
-|A| * |C| ^ (number of blocks).
+|A| * |C| ^ (number of blocks).  Over a disjoint union of posets the
+product is direct, and over an ordinal sum (every node of one part below
+every node of the other) it is the wreath product with the upper part
+active.  A poset is built from single nodes by those two operations
+exactly when it has no induced N (Valdes, Tarjan & Lawler, *The
+recognition of series parallel digraphs*, SIAM J. Comput. 11, 1982), so
+``render_group_expression`` reads the expression off the poset whenever
+``find_n_subposet`` finds no N, and keeps the gwp descriptor otherwise.
 """
 from __future__ import annotations
 
@@ -251,52 +258,41 @@ def _sym(w: int) -> GroupExpression:
     return GroupExpression("sym", weight=w)
 
 
-def _decompose_lattice(lat: DivisorLattice) -> GroupExpression | None:
-    """Crossing/nesting decomposition; None when neither rule applies."""
-    n = lat.modulus
-    if lat.elements == (1, n) or n == 1:
-        return _sym(n)
+def _decompose(p: WeightedPoset, nodes: list[int]) -> GroupExpression | None:
+    """Series-parallel decomposition of the subposet on ``nodes`` (ascending).
 
-    # crossing: coprime complementary members whose interval product is L
-    for a in lat.elements[1:-1]:
-        b = n // a
-        if b not in lat or math.gcd(a, b) != 1:
-            continue
-        la, lb = lat.below(a), lat.below(b)
-        prods = {x * y for x in la.elements for y in lb.elements}
-        if prods == set(lat.elements):
-            left = _decompose_lattice(la)
-            right = _decompose_lattice(lb)
-            if left is None or right is None:
-                return None
-            return GroupExpression("cross", children=(left, right))
-
-    # nesting: a pivot every member divides or is divided by
-    pivots = [
-        k
-        for k in lat.elements[1:-1]
-        if all(k % x == 0 or x % k == 0 for x in lat.elements)
-    ]
-    if pivots:
-        k = max(pivots)
-        quotient = DivisorLattice.of(n // k, (x // k for x in lat.above(k).elements))
-        top = _decompose_lattice(quotient)
-        bottom = _decompose_lattice(lat.below(k))
-        if top is None or bottom is None:
+    Comparability components multiply, smallest weight product first.  A
+    connected subposet is an ordinal sum when a suffix of its increasing
+    labels lies wholly above the rest; the least such suffix permutes the
+    blocks.  None when neither rule applies.
+    """
+    if len(nodes) == 1:
+        return _sym(p.weights[nodes[0]])
+    components: list[set[int]] = []
+    for i in nodes:
+        linked = [c for c in components if any(p.leq[i][j] or p.leq[j][i] for j in c)]
+        components = [c for c in components if c not in linked] + [{i}.union(*linked)]
+    if len(components) > 1:
+        components.sort(key=lambda c: math.prod(p.weights[i] for i in c))
+        kind, parts = "cross", [sorted(c) for c in components]
+    else:
+        cut = next((k for k in range(len(nodes) - 1, 0, -1)
+                    if all(p.leq[i][j] for i in nodes[:k] for j in nodes[k:])), None)
+        if cut is None:
             return None
-        return GroupExpression("wreath", children=(top, bottom))
-
-    return None
+        kind, parts = "wreath", [nodes[cut:], nodes[:cut]]
+    children = tuple(_decompose(p, part) for part in parts)
+    return None if None in children else GroupExpression(kind, children=children)
 
 
 def render_group_expression(p: WeightedPoset) -> GroupExpression:
-    """Crossing/nesting tree when the poset allows it, else a gwp descriptor."""
+    """Direct/wreath product tree when the poset is N-free, else a gwp descriptor."""
     if find_n_subposet(p) is not None:
         return GroupExpression("gwp", poset=p)
-    expr = _decompose_lattice(poset_to_lattice(p))
+    expr = _decompose(p, list(range(p.size)))
     if expr is None:
         raise InternalConsistencyError(
-            f"poset {p} has no induced N but its lattice did not decompose"
+            f"poset {p} has no induced N but did not decompose"
         )
     if expr.order_factored() != gwp_order(p):
         raise InternalConsistencyError(

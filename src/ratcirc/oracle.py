@@ -1,10 +1,12 @@
 """Independent ground truth for the constructive pipeline.
 
 Nothing in here trusts the lattice/poset machinery: automorphism groups
-are found by backtracking over vertex images with color-refinement and
-adjacency pruning, spectra by character sums cross-checked against a
-floating-point DFT, and ``full_verify`` runs both sides over every
-divisor subset and compares exact group orders.
+are found by backtracking over vertex images with adjacency pruning,
+spectra by character sums cross-checked against a floating-point DFT,
+and ``full_verify`` runs both sides over every divisor subset and
+compares exact group orders.  The search starts with no colour
+refinement: translations are automorphisms of every circulant, so any
+colouring that automorphisms preserve is constant.
 
 ``brute_force_aut`` builds its stabilizer chain bottom-up (Butler,
 *Fundamental Algorithms for Permutation Groups*, 1991; Seress,
@@ -74,28 +76,6 @@ class CirculantGraph:
     def in_masks(self) -> list[int]:
         """In-neighborhoods: the out-neighborhoods of the negated connection set."""
         return CirculantGraph.of(self.n, (-s for s in self.connection)).out_masks()
-
-
-def _stable_coloring(n: int, out_m: list[int], in_m: list[int]) -> list[int]:
-    """Iterated neighborhood color refinement on the arc relation."""
-    outs = [[u for u in range(n) if m >> u & 1] for m in out_m]
-    ins = [[u for u in range(n) if m >> u & 1] for m in in_m]
-    colors = [0] * n
-    while True:
-        sig = []
-        for v in range(n):
-            out_cols = sorted(colors[u] for u in outs[v])
-            in_cols = sorted(colors[u] for u in ins[v])
-            sig.append((colors[v], tuple(out_cols), tuple(in_cols)))
-        table: dict[tuple, int] = {}
-        fresh = []
-        for s in sig:
-            if s not in table:
-                table[s] = len(table)
-            fresh.append(table[s])
-        if fresh == colors:
-            return colors
-        colors = fresh
 
 
 def _place(
@@ -228,14 +208,12 @@ def brute_force_aut(
             f"brute-force search refused for n={n} (bound {max_n})"
         )
     out_m, in_m = graph.out_masks(), graph.in_masks()
-    colors = _stable_coloring(n, out_m, in_m)
-    color_mask = [0] * (max(colors) + 1)
-    for v, c in enumerate(colors):
-        color_mask[c] |= 1 << v
-    # prefix[k]: the candidate bitmasks once 0..k-1 are fixed.  The identity
-    # is an automorphism, so fixing a point never empties a candidate set.
+    # prefix[k]: the candidate bitmasks once 0..k-1 are fixed.  Translations
+    # are automorphisms, so before anything is fixed every vertex may go
+    # anywhere; the identity is one too, so fixing a point never empties a
+    # candidate set.
     fixed = [-1] * n
-    prefix = [[color_mask[c] for c in colors]]
+    prefix = [[(1 << n) - 1] * n]
     for k in range(n - 1):
         fixed[k] = k
         prefix.append(_place(n, out_m, in_m, fixed, prefix[k], k, k))
@@ -249,7 +227,7 @@ def brute_force_aut(
         tried = {i}
         level_gens: list[Perm] = []
         for y in range(i + 1, n):
-            # y is a candidate for i iff it has i's color and i's arcs to 0..i-1
+            # y is a candidate for i iff it has i's arcs to and from 0..i-1
             if y in tried or not cand[i] >> y & 1:
                 continue
             tried |= _close({y}, gens)

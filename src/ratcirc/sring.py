@@ -117,14 +117,6 @@ class SchurRing:
     def rank(self) -> int:
         return len(self.basic_sets)
 
-    def class_index(self) -> list[int]:
-        """class_index()[x] is the position of x's basic set."""
-        idx = [-1] * self.n
-        for i, t in enumerate(self.basic_sets):
-            for x in t:
-                idx[x] = i
-        return idx
-
     def is_union_of_classes(self, s) -> bool:
         s = frozenset(s)
         return all(t <= s or not (t & s) for t in self.basic_sets)
@@ -314,8 +306,15 @@ def _orbit_sring(n: int, s: frozenset[int]) -> SchurRing:
         return [number[row] for row in rows], len(number)
 
     reps = [d % n for d in nodes]
-    labels = _refine(*_initial_labels(n, s, reps), split)
-    # A class's least element is its least representative: _groups orders them.
+    return _orbit_ring(n, reps, _refine(*_initial_labels(n, s, reps), split))
+
+
+def _orbit_ring(n: int, reps: list[int], labels: list[int]) -> SchurRing:
+    """The ring whose classes join the orbits O_gcd(x, n), x in ``reps``, of equal label.
+
+    ``reps`` are the orbits' least elements (d mod n), so a class's least
+    element is its least representative: ``_groups`` orders the classes.
+    """
     return SchurRing(n, tuple(
         orbit_union(n, {math.gcd(x, n) for x in xs}) for xs in _groups(reps, labels)
     ))
@@ -416,9 +415,10 @@ def group_basis(ring: SchurRing) -> RationalSRing:
         raise NotRationalError("group basis exists only for rational Schur rings")
     n = ring.n
     # Z_l is the union of the O_d with (n/l) | d, each within the class of d.
-    ds, index = divisors(n), ring.class_index()
-    inside = {l: {index[d % n] for d in ds if d % (n // l) == 0} for l in ds}
-    members = [l for l in ds if all(index[d % n] not in inside[l] for d in ds if d % (n // l))]
+    ds = divisors(n)
+    index = {d: next(i for i, t in enumerate(ring.basic_sets) if d % n in t) for d in ds}
+    inside = {l: {index[d] for d in ds if d % (n // l) == 0} for l in ds}
+    members = [l for l in ds if all(index[d] not in inside[l] for d in ds if d % (n // l))]
     lat = DivisorLattice.of(n, members)
     rebuilt = basic_sets_from_lattice(lat)
     if rebuilt.ring != ring:
@@ -433,18 +433,15 @@ def basic_sets_from_lattice(lat: DivisorLattice) -> RationalSRing:
 
     Element x of Z_n generates a subgroup of some order o(x); it lands in
     the class of the smallest lattice member divisible by o(x).  This is
-    the subgroup Z_l stripped of all smaller lattice subgroups.
+    the subgroup Z_l stripped of all smaller lattice subgroups.  The order
+    is n/d on the whole orbit O_d, so the rule is applied once per divisor d.
     """
     if not lat.is_unital:
         raise ValueError("lattice must contain 1")
     n = lat.modulus
-    owner = {o: min(l for l in lat.elements if l % o == 0) for o in divisors(n)}
-    classes: dict[int, set[int]] = {l: set() for l in lat.elements}
-    for x in range(n):
-        classes[owner[n // math.gcd(x, n)]].add(x)
-    parts = sorted((frozenset(v) for v in classes.values()), key=min)
-    ring = SchurRing(n, tuple(parts))
-    return RationalSRing(ring, lat)
+    ds = divisors(n)
+    owner = [min(l for l in lat.elements if l % (n // d) == 0) for d in ds]
+    return RationalSRing(_orbit_ring(n, [d % n for d in ds], owner), lat)
 
 
 def generator_subset(lat: DivisorLattice, verify: bool = True) -> frozenset[int]:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratcirc import sring
+from ratcirc import Perm, cli, sring
 from ratcirc.cli import AnalysisRequest, _analysis_payload, _dump_json, build_parser, main
 from ratcirc.oracle import DEFAULT_MAX_ORACLE_N, CirculantGraph, full_verify, spectrum
 
@@ -79,6 +79,15 @@ class TestAnalyze:
         )
         assert code == 3
         assert "bound" in err
+
+    def test_oracle_rejects_a_transported_non_automorphism(self, capsys, monkeypatch):
+        # Swapping 0 and 1 breaks the hexagon's edge {1, 2}; the order still matches.
+        monkeypatch.setattr(cli, "transport", lambda gens, poset: [Perm.transposition(6, 0, 1)])
+        code, out, err = run(capsys, "analyze", "6", "--set", "1,5", "--oracle")
+        assert (code, out) == (1, "")
+        assert err == (
+            "internal error: a transported generator is not an automorphism found by the oracle\n"
+        )
 
     def test_out_of_memory_exits_3(self, capsys, monkeypatch):
         from ratcirc import sring

@@ -1,3 +1,4 @@
+import math
 from itertools import permutations, product
 
 import pytest
@@ -12,8 +13,10 @@ from ratcirc import (
     antichain,
     build_gwp,
     chain,
+    divisors,
     gwp_generators,
     gwp_order,
+    lattice_closure,
     lattice_to_poset,
     orbit_set,
     render_group_expression,
@@ -22,8 +25,8 @@ from ratcirc import (
     trivial_lattice,
 )
 from ratcirc.arith import factored_value
-from ratcirc.gwp import gwp_exponents
-from ratcirc.posets import _strides, poset_to_lattice, weak_iso_map
+from ratcirc.gwp import GroupExpression, gwp_exponents
+from ratcirc.posets import _strides, find_n_subposet, poset_to_lattice, weak_iso_map
 from ratcirc.sring import basic_sets_from_lattice
 
 
@@ -46,6 +49,51 @@ def scan_generators(p):
                         image[encode[t]] = encode[tuple(swapped)]
                 gens.append(Perm(image))
     return gens
+
+
+def reference_decompose_lattice(lat):
+    """Reference for the expression tree: crossing/nesting on lattice intervals."""
+    n = lat.modulus
+    if lat.elements == (1, n) or n == 1:
+        return GroupExpression("sym", weight=n)
+
+    # crossing: coprime complementary members whose interval product is L
+    for a in lat.elements[1:-1]:
+        b = n // a
+        if b not in lat or math.gcd(a, b) != 1:
+            continue
+        la, lb = lat.below(a), lat.below(b)
+        prods = {x * y for x in la.elements for y in lb.elements}
+        if prods == set(lat.elements):
+            left = reference_decompose_lattice(la)
+            right = reference_decompose_lattice(lb)
+            if left is None or right is None:
+                return None
+            return GroupExpression("cross", children=(left, right))
+
+    # nesting: a pivot every member divides or is divided by
+    pivots = [
+        k
+        for k in lat.elements[1:-1]
+        if all(k % x == 0 or x % k == 0 for x in lat.elements)
+    ]
+    if pivots:
+        k = max(pivots)
+        quotient = DivisorLattice.of(n // k, (x // k for x in lat.above(k).elements))
+        top = reference_decompose_lattice(quotient)
+        bottom = reference_decompose_lattice(lat.below(k))
+        if top is None or bottom is None:
+            return None
+        return GroupExpression("wreath", children=(top, bottom))
+
+    return None
+
+
+def reference_expression_text(p):
+    """The expression text read off the poset's lattice, or the gwp descriptor."""
+    if find_n_subposet(p) is not None:
+        return GroupExpression("gwp", poset=p).text()
+    return reference_decompose_lattice(poset_to_lattice(p)).text()
 
 
 def first_broken_basic_set(g, p):
@@ -258,6 +306,16 @@ class TestExpression:
                 e = render_group_expression(p)
                 assert e.order_factored() == gwp_order(p), (n, lat.elements)
                 assert e.degree == n
+                assert e.text() == reference_expression_text(p), (n, lat.elements)
+
+
+@given(st.sampled_from([55440, 720720, 9699690]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_expression_matches_reference_on_random_closures(n, data):
+    """Moduli with more than 12 divisors, beyond the exhaustive sublattice sweep."""
+    seed = data.draw(st.lists(st.sampled_from(divisors(n)), max_size=5))
+    p = lattice_to_poset(lattice_closure(n, seed))
+    assert render_group_expression(p).text() == reference_expression_text(p)
 
 
 @given(st.data())

@@ -43,6 +43,16 @@ def reference_trace(n, s):
     return frozenset((m * x) % n for m in units for x in s)
 
 
+def reference_basic_sets_from_lattice(lat):
+    """The per-point construction: x joins the least member divisible by its order."""
+    n = lat.modulus
+    owner = {o: min(l for l in lat.elements if l % o == 0) for o in divisors(n)}
+    classes = {l: set() for l in lat.elements}
+    for x in range(n):
+        classes[owner[n // math.gcd(x, n)]].add(x)
+    return SchurRing(n, tuple(sorted((frozenset(v) for v in classes.values()), key=min)))
+
+
 def reference_generate_sring(n, s):
     """Refinement by all ordered class pairs, rows numbered by np.unique(axis=0)."""
     s = frozenset(x % n for x in s)
@@ -407,6 +417,13 @@ class TestBasicSetsFromLattice:
         rs = basic_sets_from_lattice(striking_lattice)
         assert rs.ring == generate_sring(36, orbit_union(36, (2, 3, 4, 6)))
 
+    def test_matches_point_reference(self):
+        for n in range(1, 61):
+            for lat in sublattices(n):
+                rs = basic_sets_from_lattice(lat)
+                assert rs.ring == reference_basic_sets_from_lattice(lat), (n, lat.elements)
+                assert rs.lattice == lat
+
     def test_round_trip_up_to_30(self):
         for n in range(1, 31):
             for lat in sublattices(n):
@@ -424,8 +441,8 @@ class TestStructureConstants:
     def test_transpose_symmetry(self):
         ring = generate_sring(12, {1, 11})
         p = ring.structure_constants()
-        idx = ring.class_index()
         n = ring.n
+        idx = {x: i for i, t in enumerate(ring.basic_sets) for x in t}
         neg = [idx[(-min(t)) % n] for t in ring.basic_sets]
         for (i, j, k), v in p.items():
             # transposing the product reverses the factors and negates classes
