@@ -440,10 +440,12 @@ def rational_chain(
     return ring, lat, lattice_to_poset(lat)
 
 
-def pipeline_order(n: int, connection) -> tuple[DivisorLattice, dict[int, int]]:
-    """Lattice and factored group order for a rational connection set."""
+def pipeline_order(
+    n: int, connection
+) -> tuple[DivisorLattice, WeightedPoset, dict[int, int]]:
+    """Lattice, weighted poset and factored group order for a rational connection set."""
     _, lat, poset = rational_chain(n, connection)
-    return lat, gwp_order(poset)
+    return lat, poset, gwp_order(poset)
 
 
 def full_verify(
@@ -473,8 +475,7 @@ def full_verify(
     for k in range(len(proper) + 1):
         for subset in combinations(proper, k):
             connection = sring.orbit_union(n, subset)
-            lat, order = pipeline_order(n, connection)
-            poset = lattice_to_poset(lat)
+            lat, poset, order = pipeline_order(n, connection)
             oracle_order = None
             match = None
             if use_oracle:

@@ -131,10 +131,12 @@ class _Level:
     grows, in discovery order (``points``), and a representative never
     changes once set.  ``paired[k]`` counts the level generators whose
     Schreier generator with ``points[k]`` has been sifted; no position
-    before ``pending`` has an unsifted pair.
+    before ``pending`` has an unsifted pair.  ``tree`` holds the pairs
+    (k, j) whose generator ``gens[j]`` first reached a point from
+    ``points[k]``: their Schreier generators are the identity.
     """
 
-    __slots__ = ("point", "gens", "inverse", "points", "paired", "pending")
+    __slots__ = ("point", "gens", "inverse", "points", "paired", "pending", "tree")
 
     def __init__(self, point: int, identity: tuple[int, ...]) -> None:
         self.point = point
@@ -143,27 +145,30 @@ class _Level:
         self.points = [point]
         self.paired = [0]
         self.pending = 0
+        self.tree: set[tuple[int, int]] = set()
 
     def add_generator(self, g: tuple[int, ...], g_inv: tuple[int, ...]) -> None:
         """Append g and extend the orbit in place to stay closed."""
         self.gens.append((g, g_inv))
         self.pending = 0
-        inverse, points, paired = self.inverse, self.points, self.paired
+        inverse, points, paired, tree = self.inverse, self.points, self.paired, self.tree
 
-        def reach(p: int, s: tuple[int, ...], s_inv: tuple[int, ...]) -> None:
+        def reach(k: int, j: int, s: tuple[int, ...], s_inv: tuple[int, ...]) -> None:
+            p = points[k]
             q = s[p]
             if q not in inverse:
                 inverse[q] = _compose(s_inv, inverse[p])  # (u_p s)^-1
                 points.append(q)
                 paired.append(0)
+                tree.add((k, j))
 
-        old = len(points)
+        old, last = len(points), len(self.gens) - 1
         for k in range(old):
-            reach(points[k], g, g_inv)
+            reach(k, last, g, g_inv)
         k = old
         while k < len(points):
-            for s, s_inv in self.gens:
-                reach(points[k], s, s_inv)
+            for j, (s, s_inv) in enumerate(self.gens):
+                reach(k, j, s, s_inv)
             k += 1
 
 
@@ -171,7 +176,10 @@ class _Level:
 # Algorithms, ch. 4).  A new base point is the least point the residue
 # moves.  Each Schreier generator u_p s u_{s(p)}^-1 is sifted once: the
 # per-point counters remember which pairs are done, and a level is only
-# revisited for the pairs that a new generator or orbit point added.
+# revisited for the pairs that a new generator or orbit point added.  A
+# pair (p, s) of the Schreier tree, where s first reached s(p) from p, set
+# u_s(p) = u_p s: its Schreier generator is the identity, so it is skipped
+# before it is formed.
 #
 # Level i is sifted only while levels i+1.. are complete: _schreier_sims
 # walks back down through every level a new strong generator joined before
@@ -206,7 +214,7 @@ def _sift_level(levels: list[_Level], i: int, identity: tuple[int, ...]) -> int 
     through the level where it stopped, which is returned.
     """
     lv = levels[i]
-    gens, inverse, points, paired = lv.gens, lv.inverse, lv.points, lv.paired
+    gens, inverse, points, paired, tree = lv.gens, lv.inverse, lv.points, lv.paired, lv.tree
     known = {identity}
     if i + 1 < len(levels):
         known.update(g for g, _ in levels[i + 1].gens)
@@ -216,8 +224,10 @@ def _sift_level(levels: list[_Level], i: int, identity: tuple[int, ...]) -> int 
         p = points[k]
         u = _invert(inverse[p])
         for j in range(paired[k], len(gens)):
-            s = gens[j][0]
             paired[k] = j + 1
+            if (k, j) in tree:  # u_p s = u_s(p)
+                continue
+            s = gens[j][0]
             schreier = _compose(_compose(u, s), inverse[s[p]])
             if schreier in known:
                 continue

@@ -10,11 +10,15 @@ classes are unions of the multiplicative orbits {x : gcd(x, n) = d};
 those are classified by divisor lattices, and both directions of that
 dictionary live here.  A trace-closed subset (a union of those orbits)
 generates a rational ring, and ``generate_sring`` refines it on the tau(n)
-orbits instead of on the n points.  Other subsets are refined point by
-point: the row of x lists, sorted, the codes of the class pairs
-{class(u), class(x - u)} over all u in Z_n, one n x n matrix per round
-whatever the rank, so that path refuses n > ``MAX_POINT_N`` up front.  No
-such subset generates a rational ring: it is a union of classes, and the
+orbits instead of on the n points.  Other subsets are refined on the
+orbits of their multipliers M = {m in Z_n^* : mS = S}, which fix every
+class (Schur's theorem on multipliers): the row of an orbit's least
+element x lists, sorted, the codes of the class pairs (class(u),
+class(x - u)) over all u in Z_n.  That path refuses n > ``MAX_POINT_N`` up
+front.  Up to ``MAX_PYTHON_PAIRS`` orbit-point pairs a round its rows are
+pure Python, which costs less than importing numpy; above it numpy sorts
+them as one matrix, 4-10x faster on fine rings with n >= 1000.  No such
+subset generates a rational ring: it is a union of classes, and the
 classes of a rational ring are trace-closed.
 
 The orbit refinement needs the counts #{(a, b) in O_d x O_e : a + b = x}
@@ -29,14 +33,14 @@ N(i, j | l) of u in V_i with x - u in V_j, for a fixed x in V_l, is
 
 Only the nonzero products are kept, and each unordered pair {d, e} once:
 4947 entries at n = 5040, where the dense tau(n)^3 tensor has 216000 (9300
-of them nonzero).  That path is pure Python; numpy is imported only where
-n-sized vectors are built.
+of them nonzero).  The orbit path is pure Python.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import compress
+from operator import add
 from typing import TYPE_CHECKING
 
 from .arith import factorize, totient
@@ -46,8 +50,11 @@ from .lattice import DivisorLattice, divisors
 if TYPE_CHECKING:
     import numpy as np
 
-# Largest modulus refined point by point: each round sorts an n x n code matrix.
+# Largest modulus refined point by point: a round may sort an n x n code matrix.
 MAX_POINT_N = 4096
+# Largest (orbits) * n pairs a round whose rows ``_point_sring`` builds in
+# pure Python; above it numpy builds them.
+MAX_PYTHON_PAIRS = 1 << 17
 
 
 def orbit_union(n: int, ds) -> frozenset[int]:
@@ -179,13 +186,13 @@ def generate_sring(n: int, s) -> SchurRing:
     Starts from the splitting induced by {0}, s and -s, then refines by
     exact convolution fingerprints (the class of -x, and how often each
     unordered class pair {class(a), class(b)} has a + b = x) until the
-    partition is stable.  Each round numbers the distinct fingerprints in
-    sorted order.
+    partition is stable.  Each round numbers the distinct fingerprints.
 
     A trace-closed s is refined on the tau(n) orbits {x : gcd(x, n) = d}
-    instead of the n points (``_orbit_sring``); any other s point by point
-    (``_point_sring``), which raises ``BoundExceededError`` for
-    n > ``MAX_POINT_N``.  Both give the same classes round by round.
+    instead of the n points (``_orbit_sring``); any other s on the orbits of
+    its multipliers (``_point_sring``), which raises ``BoundExceededError``
+    for n > ``MAX_POINT_N``.  Both give the classes of the refinement on all
+    n points round by round.
     """
     if n < 1:
         raise ValueError("modulus must be positive")
@@ -215,7 +222,7 @@ def _refine(labels, k: int, split):
     and their count.  A node's row is its label, the label of its negation,
     then how often each unordered class pair {a, b} sums to the node: the
     orbit path lists (pair code, count) items, the point path the sorted
-    pair codes a * k + b (a <= b) of all ways x = u + (x - u).
+    ordered pair codes a * k + b of all ways x = u + (x - u).
     """
     while True:
         new_labels, new_k = split(labels, k)
@@ -225,46 +232,101 @@ def _refine(labels, k: int, split):
 
 
 def _point_sring(n: int, s: frozenset[int]) -> SchurRing:
-    """``generate_sring`` refined on all n points; s must be reduced mod n, n >= 2.
+    """``generate_sring`` refined on the orbits of the multipliers of s.
 
-    The row of x is its label, the label of -x, then the sorted codes
-    min(a, b) * k + max(a, b) of the labels a of u and b of x - u over all u
-    in Z_n.  Class pair {A, B} occurs 2 c_AB(x) times there when A != B and
-    c_AA(x) times when A = B, so these rows split the points exactly as the
-    per-pair counts do.  Each round builds one n x n code matrix whatever the
-    rank, so n is bounded by ``MAX_POINT_N`` before anything is allocated.
+    s must be reduced mod n, with n >= 2; n <= ``MAX_POINT_N`` is checked
+    before anything is computed.  A unit m with mS = S is an automorphism of
+    (Z_n, +) fixing {0}, s and -s, so x and mx get equal rows at every round:
+    every class is a union of orbits of M = {m : mS = S} (Schur's theorem on
+    multipliers, Wielandt, *Finite Permutation Groups*, ch. IV).  Only the
+    least element of each orbit gets a row, and only in a class of two or
+    more orbits; a class that is one orbit keeps its label.  Refinement
+    stops when nothing splits or every class is one orbit.
+
+    A row is the label of x, the label of -x, then the sorted codes
+    a * k + b of the labels a of u and b of x - u over all u in Z_n.  The
+    ordered pair (A, B) occurs c_AB(x) times there, and c_AB(x) = c_BA(x),
+    so these rows split the points exactly as the per-pair counts do.  A
+    round costs (orbits) * n pairs.  Up to ``MAX_PYTHON_PAIRS`` the rows are
+    sorted lists (``_python_rows``): the whole refinement then costs less
+    than importing numpy.  Above it numpy sorts them as one matrix
+    (``_numpy_rows``), 4-10x faster on fine rings with n >= 1000; the
+    crossover is near 2^18 pairs.
     """
     if n > MAX_POINT_N:
         raise BoundExceededError(
             f"instance too large: n={n} is refined point by point, so {n * n} point "
             f"pairs per round (bound {MAX_POINT_N * MAX_POINT_N}, n <= {MAX_POINT_N})"
         )
-    import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
+    mult = _multipliers(n, s)
+    orbit = [-1] * n
+    reps: list[int] = []
+    for x in range(n):
+        if orbit[x] < 0:
+            for m in mult:
+                orbit[m * x % n] = len(reps)
+            reps.append(x)
+    rows = _python_rows if len(reps) * n <= MAX_PYTHON_PAIRS else _numpy_rows
 
-    neg = (-np.arange(n)) % n
-
-    def split(labels: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-        if k == n:  # discrete: nothing left to split
+    def split(labels: list[int], k: int) -> tuple[list[int], int]:
+        if k == len(reps):  # every class is one orbit: nothing left to split
             return labels, k
-        lab = labels.astype(np.int32)
-        # other[x, u] = lab[(x - u) % n], a view of lab repeated twice.
-        other = sliding_window_view(np.concatenate((lab, lab)), n)[1:, ::-1]
-        rows = np.empty((n, n + 2), dtype=np.int32)
-        rows[:, 0], rows[:, 1] = lab, lab[neg]
-        # min(a, b) * k + max(a, b) = min(a, b) * (k - 1) + a + b < k * k <= 2^24.
-        codes = rows[:, 2:]
-        np.minimum(lab, other, out=codes)
-        codes *= k - 1
-        codes += lab
-        codes += other
-        codes.sort(axis=1)
-        new_labels = _number_rows(rows)
-        return new_labels, int(new_labels.max()) + 1
+        size = [0] * k
+        for a in labels:
+            size[a] += 1
+        busy = [i for i, a in enumerate(labels) if size[a] > 1]
+        ids = dict(zip(busy, rows([labels[o] for o in orbit], k, [reps[i] for i in busy])))
+        number: dict = {}
+        new = [number.setdefault((a, ids.get(i)), len(number)) for i, a in enumerate(labels)]
+        return new, len(number)
 
-    labels, k = _initial_labels(n, s, range(n))
-    labels = _refine(np.array(labels, dtype=np.int64), k, split)
-    return SchurRing(n, tuple(frozenset(xs) for xs in _groups(range(n), labels.tolist())))
+    labels = _refine(*_initial_labels(n, s, reps), split)
+    classes = _groups(range(n), [labels[o] for o in orbit])
+    return SchurRing(n, tuple(frozenset(xs) for xs in classes))
+
+
+def _multipliers(n: int, s: frozenset[int]) -> list[int]:
+    """M = {m in Z_n^* : mS = S}, a subgroup, tested one coset at a time.
+
+    A unit outside the part of M found so far rules out its whole coset,
+    and one inside joins the subgroup it generates with that part.
+    """
+    group, seen = [1], {1}
+    for m in units(n):
+        if m in seen:
+            continue
+        if all(m * x % n in s for x in s):
+            old, p = set(group), m
+            while p not in old:
+                group.extend([p * h % n for h in old])
+                p = p * m % n
+        seen.update(m * h % n for h in group)
+    return group
+
+
+def _python_rows(lab: list[int], k: int, xs: list[int]) -> list[tuple[int, ...]]:
+    """The rows of the points xs, less their own label, for point labels ``lab``."""
+    n = len(lab)
+    lk = [a * k for a in lab]
+    lab2 = lab + lab  # lab2[x + n - u] = lab[x - u]; lab[-x] is the label of -x
+    return [(lab[-x], *sorted(map(add, lk, lab2[x + n:x:-1]))) for x in xs]
+
+
+def _numpy_rows(lab: list[int], k: int, xs: list[int]) -> list[int]:
+    """``_python_rows`` as one numpy matrix, its rows numbered by ``_number_rows``."""
+    import numpy as np
+
+    n = len(lab)
+    lab = np.array(lab, dtype=np.int32)
+    lab2 = np.concatenate((lab, lab))
+    rows = np.empty((len(xs), n + 1), dtype=np.int32)
+    for row, x in zip(rows, xs):
+        row[0] = lab[-x]
+        row[1:] = lab2[x + n:x:-1]
+    codes = rows[:, 1:]
+    codes += lab * k  # a * k + b < k * k <= 2^24
+    codes.sort(axis=1)
+    return _number_rows(rows).tolist()
 
 
 def _orbit_sring(n: int, s: frozenset[int]) -> SchurRing:

@@ -408,14 +408,16 @@ class TestNumpyFree:
         argv = ["analyze 5040 --divisors 2,3,5,7,8,9 --format json", "enumerate 12 --verify",
                 "analyze 360 --divisors 2,3,5,8,9 --generators",
                 "analyze 36 --divisors 2,3,4,6 --oracle",
-                # These still build n-sized vectors: the DFT and the point-level refinement.
-                "analyze 12 --divisors 2 --spectrum", "analyze 120 --set 1,2,3"]
+                # Rejected by a pure-Python point-level refinement.
+                "analyze 120 --set 1,2,3", "analyze 240 --set 1,2",
+                # The DFT still builds n-sized vectors with numpy: it runs last.
+                "analyze 12 --divisors 2 --spectrum"]
         done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], env=src_env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        large, verify, generators, oracle, spec, reject = json.loads(done.stdout)
+        large, verify, generators, oracle, reject, reject_240, spec = json.loads(done.stdout)
 
-        assert not any(r["numpy"] for r in (large, verify, generators, oracle))
+        assert not any(r["numpy"] for r in (large, verify, generators, oracle, reject, reject_240))
         assert (large["code"], json.loads(large["out"])["rank"]) == (0, 41)
         assert verify["code"] == 0
         assert verify["out"].endswith("32 rational circulants on Z_12\n")
@@ -443,6 +445,7 @@ class TestNumpyFree:
             "spectrum: integral=True values [2,2,1,1,1,1,-1,-1,-1,-1,-2,-2]\n"
         )
 
-        units = ",".join(map(str, sring.units(120)))
-        assert (reject["code"], reject["out"]) == (2, "")
-        assert reject["err"] == f"error: not rational: trace of {{1}} is {{{units}}}\n"
+        for n, r in ((120, reject), (240, reject_240)):
+            units = ",".join(map(str, sring.units(n)))
+            assert (r["code"], r["out"]) == (2, "")
+            assert r["err"] == f"error: not rational: trace of {{1}} is {{{units}}}\n"

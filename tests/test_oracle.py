@@ -319,7 +319,7 @@ class TestFullVerify:
         assert rep.all_match
 
     def test_striking_instance(self):
-        lat, order = pipeline_order(36, orbit_union(36, (2, 3, 4, 6)))
+        lat, _, order = pipeline_order(36, orbit_union(36, (2, 3, 4, 6)))
         assert lat.elements == (1, 2, 3, 4, 6, 12, 18, 36)
         assert order == {2: 11, 3: 4}
 
@@ -370,6 +370,6 @@ def test_oracle_vs_pipeline_on_random_rational_sets(data):
     proper = [d for d in divisors(n) if d != n]
     subset = data.draw(st.lists(st.sampled_from(proper), unique=True, max_size=4))
     s = orbit_union(n, subset)
-    _, order = pipeline_order(n, s)
+    *_, order = pipeline_order(n, s)
     oracle = brute_force_aut(CirculantGraph.of(n, s)).order_factored()
     assert oracle == order

@@ -15,6 +15,7 @@ from ratcirc import (
     transport,
 )
 from ratcirc.arith import factored_value
+from ratcirc.perms import _compose, _invert
 
 
 class TestPerm:
@@ -186,6 +187,23 @@ class TestGroupOrder:
         if n <= 12:
             assert SymGroup([SymPerm(list(g.image)) for g in gens]).order() == G.order()
         assert all(G.sift(g).is_identity() for g in gens)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_schreier_tree_pairs_give_the_identity(self, data):
+        # The sift skips the pairs in ``tree`` without forming them.
+        n = data.draw(st.integers(min_value=2, max_value=40))
+        p = lattice_to_poset(data.draw(st.sampled_from(sublattices(n))))
+        gens = data.draw(st.permutations(transport(gwp_generators(p), p, verify=False)))
+        G = PermutationGroup(n, gens)
+        G.order()
+        identity = tuple(range(n))
+        for lv in G._levels:
+            assert len(lv.tree) == len(lv.points) - 1
+            for k, j in lv.tree:
+                s = lv.gens[j][0]
+                u = _invert(lv.inverse[lv.points[k]])
+                assert _compose(_compose(u, s), lv.inverse[s[lv.points[k]]]) == identity
 
 
 class TestMembership:

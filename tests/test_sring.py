@@ -201,13 +201,15 @@ class TestAgainstReferences:
 
 class TestOrbitPath:
     def test_orbit_path_matches_point_path_on_every_divisor_subset(self):
-        for n in range(2, 41):
-            ds = divisors(n)
-            for k in range(len(ds) + 1):
-                for subset in combinations(ds, k):
-                    s = orbit_union(n, subset)
-                    want = sring._point_sring(n, s)
-                    assert sring._orbit_sring(n, s) == want, (n, subset)
+        # With M = {1} the point path refines every point on its own.
+        with mock.patch.object(sring, "_multipliers", return_value=[1]):
+            for n in range(2, 41):
+                ds = divisors(n)
+                for k in range(len(ds) + 1):
+                    for subset in combinations(ds, k):
+                        s = orbit_union(n, subset)
+                        want = sring._point_sring(n, s)
+                        assert sring._orbit_sring(n, s) == want, (n, subset)
 
     @given(st.integers(min_value=2, max_value=60),
            st.lists(st.integers(0, 59), min_size=1, max_size=8))
@@ -234,11 +236,88 @@ class TestOrbitPath:
         assert peak < 16 << 20
 
 
+def reference_multipliers(n, s):
+    """The definition: every unit m with mS = S."""
+    return [m for m in range(n) if math.gcd(m, n) == 1 and {m * x % n for x in s} == s]
+
+
+@st.composite
+def point_path_sets(draw):
+    """A set that is not trace-closed, n <= 60; half of them closed under a random unit."""
+    n = draw(st.integers(min_value=2, max_value=60), label="n")
+    s = frozenset(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8), label="s"))
+    if draw(st.booleans(), label="close"):
+        m = draw(st.sampled_from(sring.units(n)), label="m")
+        s = frozenset(x * pow(m, i, n) % n for x in s for i in range(n))
+    assume(reference_trace(n, s) != s)
+    return n, s
+
+
 class TestPointPath:
+    @given(point_path_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_both_kernels_match_the_reference(self, case):
+        n, s = case
+        want = reference_generate_sring(n, s)
+        assert generate_sring(n, s) == want
+        with mock.patch.object(sring, "MAX_PYTHON_PAIRS", 0):
+            assert generate_sring(n, s) == want
+
+    @given(point_path_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_classes_are_multiplier_invariant(self, case):
+        n, s = case
+        mult = reference_multipliers(n, s)
+        assert sorted(sring._multipliers(n, s)) == mult
+        for t in generate_sring(n, s).basic_sets:
+            assert all({m * x % n for x in t} == t for m in mult), sorted(t)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_kernels_agree_with_the_row_definition(self, data):
+        # Arbitrary labels, not only stable ones: any lost pair code shows.
+        n = data.draw(st.integers(min_value=1, max_value=40), label="n")
+        k = data.draw(st.integers(min_value=1, max_value=n), label="k")
+        lab = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n), label="lab")
+        xs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True), label="xs")
+        want = [(lab[-x % n], *sorted(lab[u] * k + lab[(x - u) % n] for u in range(n)))
+                for x in xs]
+        assert sring._python_rows(lab, k, xs) == want
+        ids = sring._numpy_rows(lab, k, xs)
+        assert all((ids[i] == ids[j]) == (want[i] == want[j])
+                   for i in range(len(xs)) for j in range(len(xs)))
+
+    @pytest.mark.parametrize("kernel", ["_python_rows", "_numpy_rows"])
+    def test_kernels_tell_apart_rows_with_equal_code_sums(self, kernel):
+        # Points 1 and 5 (and -1, -5) share a label, and their pair multisets
+        # differ with equal sums a + b: a code a + b would merge them.
+        lab = [2, 2, 1, 3, 1, 0, 1]
+        first, second = getattr(sring, kernel)(lab, 4, [1, 5])
+        assert first != second
+
+    @pytest.mark.parametrize("kernel", ["_python_rows", "_numpy_rows"])
+    def test_rows_are_built_for_orbit_representatives_only(self, kernel):
+        # {x = 1 mod 4} at n = 256: M = {m = 1 mod 4} has 64 elements and 16 orbits.
+        n, s = 256, frozenset(range(1, 256, 4))
+        mult = reference_multipliers(n, s)
+        reps = {x for x in range(n) if x == min(m * x % n for m in mult)}
+        assert (len(mult), len(reps)) == (64, 16)
+        budget = 0 if kernel == "_numpy_rows" else n * n
+        with mock.patch.object(sring, "MAX_PYTHON_PAIRS", budget), \
+                mock.patch.object(sring, kernel, wraps=getattr(sring, kernel)) as spy:
+            ring = generate_sring(n, s)
+        built = [x for call in spy.call_args_list for x in call.args[2]]
+        assert built and set(built) <= reps
+        # Rows go only to classes of two or more orbits: never to {0}.
+        assert all(len(call.args[2]) < len(reps) for call in spy.call_args_list)
+        assert 0 not in built
+        assert ring == reference_generate_sring(n, s)
+
     def test_memory_does_not_grow_with_the_rank(self):
         # {1, 2} generates the discrete ring: rank 240, so about 29000 class
-        # pairs in the last rounds.  A round's n x n code matrix does not
-        # depend on that number.
+        # pairs in the last rounds.  M is trivial, and 240 rows of 240 codes
+        # a round are within MAX_PYTHON_PAIRS: pure Python lists, whose size
+        # does not depend on that number.
         tracemalloc.start()
         try:
             ring = generate_sring(240, {1, 2})
@@ -247,6 +326,20 @@ class TestPointPath:
             tracemalloc.stop()
         assert ring.rank == 240
         assert peak < 8 << 20
+
+    def test_numpy_memory_is_one_matrix_whatever_the_rank(self):
+        # Above MAX_PYTHON_PAIRS numpy sorts one n x (n + 1) int32 matrix a
+        # round (4.2 MB here), and ``_number_rows`` one sorted copy of it.
+        n = 1024
+        assert n * n > sring.MAX_PYTHON_PAIRS
+        tracemalloc.start()
+        try:
+            ring = generate_sring(n, {1, 2})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ring.rank == n
+        assert peak < 12 << 20
 
     def test_refuses_above_the_bound(self):
         with pytest.raises(BoundExceededError) as err:
