@@ -7,6 +7,8 @@ its factorization is cheap (products of factorials).
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer as {prime: exponent}."""
@@ -54,17 +56,29 @@ def factored_pow(a: dict[int, int], k: int) -> dict[int, int]:
 
 
 def factorial_factored(n: int) -> dict[int, int]:
-    """Factorization of n! via Legendre's formula."""
+    """Factorization of n! via Legendre's formula; a fresh dict per call."""
+    return dict(factorial_items(n))
+
+
+@lru_cache(maxsize=32)
+def factorial_items(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of n!, ascending, computed once per n.
+
+    A group order is a product of factorials of the poset weights, and one
+    request asks for the same weights several times (the order, the
+    expression's own order, their cross-check), each costing a sieve up to
+    the weight.
+    """
     if n < 0:
         raise ValueError("factorial of a negative number")
-    out: dict[int, int] = {}
+    out = []
     for p in _primes_upto(n):
         e, q = 0, p
         while q <= n:
             e += n // q
             q *= p
-        out[p] = e
-    return out
+        out.append((p, e))
+    return tuple(out)
 
 
 def _primes_upto(n: int) -> list[int]:

@@ -16,8 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
+from ._record import frozen
 from .arith import factored_str, factored_value_below
 from .errors import BoundExceededError, InternalConsistencyError, NotRationalError
 from .lattice import MAX_MODULUS, DivisorLattice
@@ -31,7 +31,7 @@ from . import sring
 _MAX_PLAIN_ORDER = 2 ** 63
 
 
-@dataclass(frozen=True)
+@frozen
 class AnalysisRequest:
     """One validated analyze invocation: exactly one input mode, n >= 2."""
 

@@ -28,10 +28,11 @@ recognition of series parallel digraphs*, SIAM J. Comput. 11, 1982), so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
-from .arith import factored_mul, factored_pow, factorial_factored, factored_value
+from ._record import frozen
+from .arith import (factored_mul, factored_pow, factorial_factored, factorial_items,
+                    factored_value)
 from .errors import BoundExceededError, InternalConsistencyError
 from .lattice import DivisorLattice
 from .perms import Perm
@@ -58,10 +59,18 @@ def gwp_exponents(p: WeightedPoset) -> tuple[int, ...]:
 
 
 def gwp_order(p: WeightedPoset) -> dict[int, int]:
-    """Factored order: product over i of (w_i!)^(ancestor weight product)."""
+    """Factored order: product over i of (w_i!)^(ancestor weight product).
+
+    The primes of a smaller factorial are a prefix of those of a larger one,
+    so the largest weight lays out every prime, in ascending order.
+    """
     order: dict[int, int] = {}
-    for w, m in zip(p.weights, gwp_exponents(p)):
-        order = factored_mul(order, factored_pow(factorial_factored(w), m))
+    for w, m in sorted(zip(p.weights, gwp_exponents(p)), reverse=True):
+        if order:
+            for q, e in factorial_items(w):
+                order[q] += e * m
+        else:
+            order = {q: e * m for q, e in factorial_items(w)}
     return order
 
 
@@ -153,7 +162,7 @@ def _check_block_structure(perms, lat: DivisorLattice) -> None:
                     )
 
 
-@dataclass(frozen=True)
+@frozen
 class GeneralizedWreathProduct:
     """Bundle of the poset, exponents, factored order and generators."""
 
@@ -185,7 +194,7 @@ def build_gwp(
 # -- symbolic expression of the group ------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class GroupExpression:
     """Expression tree over symmetric-group leaves.
 

@@ -12,9 +12,9 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._record import frozen
 from .arith import factorize
 from .errors import BoundExceededError
 
@@ -45,7 +45,7 @@ def tau(n: int) -> int:
     return t
 
 
-@dataclass(frozen=True)
+@frozen
 class DivisorLattice:
     """A gcd/lcm-closed set of divisors of ``modulus``, stored ascending.
 
@@ -207,7 +207,7 @@ def sublattices(n: int, max_tau: int = DEFAULT_MAX_TAU) -> list[DivisorLattice]:
     return found
 
 
-@dataclass(frozen=True)
+@frozen
 class ComplementIdentityWitness:
     """Both sides of the interval-complement identity for one (L, m) choice.
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._record import frozen
 from .arith import moebius, totient
 from .errors import BoundExceededError, InternalConsistencyError, NotRationalError
 from .lattice import DEFAULT_MAX_TAU, DivisorLattice, divisors, tau
@@ -35,7 +35,7 @@ from . import sring
 DEFAULT_MAX_ORACLE_N = 40
 
 
-@dataclass(frozen=True)
+@frozen
 class CirculantGraph:
     """Cayley graph over Z_n: arcs x -> x + s for every s in the connection set.
 
@@ -262,7 +262,7 @@ def ramanujan_sum(q: int, j: int) -> int:
     return mu * (totient(q) // totient(qg))
 
 
-@dataclass(frozen=True)
+@frozen
 class SpectrumReport:
     """Eigenvalue multiset of a circulant graph with an integrality verdict.
 
@@ -369,7 +369,7 @@ def count_rational_circulants(n: int) -> int:
 # -- end-to-end cross validation ---------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class VerifyRecord:
     """Pipeline and oracle results for one divisor subset."""
 
@@ -395,7 +395,7 @@ class VerifyRecord:
         }
 
 
-@dataclass(frozen=True)
+@frozen
 class VerifyReport:
     n: int
     records: tuple[VerifyRecord, ...]

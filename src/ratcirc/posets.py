@@ -17,19 +17,15 @@ labels to match the usual diagram conventions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations, product
-from typing import TYPE_CHECKING
 
+from ._record import frozen
 from .errors import InternalConsistencyError
 from .lattice import DivisorLattice, lattice_closure
 from .arith import factorize
 
-if TYPE_CHECKING:
-    import numpy as np
 
-
-@dataclass(frozen=True)
+@frozen
 class WeightedPoset:
     """An increasing partial order on r nodes with node weights.
 
@@ -159,7 +155,7 @@ def poset_isomorphic(p: WeightedPoset, q: WeightedPoset) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@frozen
 class AncestralFamily:
     """All up-closed subsets of a poset, ordered by (size, members)."""
 
@@ -270,7 +266,7 @@ def weak_iso_map(p: WeightedPoset) -> TransportMap:
     return TransportMap(p)
 
 
-@dataclass(frozen=True)
+@frozen
 class PartitionOfZn:
     """Partition of Z_n into blocks, ordered by smallest member."""
 
@@ -366,7 +362,7 @@ def crested_product(l1: DivisorLattice, d: int, l2: DivisorLattice) -> DivisorLa
     return DivisorLattice.of(n1 * n2, members)
 
 
-@dataclass(frozen=True)
+@frozen
 class SimplicityReport:
     """Whether a lattice decomposes by crossing and nesting alone.
 

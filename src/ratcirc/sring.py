@@ -38,23 +38,21 @@ of them nonzero).  The orbit path is pure Python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 from operator import add
-from typing import TYPE_CHECKING
 
+from ._record import frozen
 from .arith import factorize, totient
 from .errors import BoundExceededError, InternalConsistencyError, NotRationalError
 from .lattice import DivisorLattice, divisors
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Largest modulus refined point by point: a round may sort an n x n code matrix.
 MAX_POINT_N = 4096
 # Largest (orbits) * n pairs a round whose rows ``_point_sring`` builds in
 # pure Python; above it numpy builds them.
 MAX_PYTHON_PAIRS = 1 << 17
+# Rows of the numpy path that ``_number_rows`` copies at once to compare neighbours.
+_NUMBER_BLOCK_BYTES = 1 << 18
 
 
 def orbit_union(n: int, ds) -> frozenset[int]:
@@ -113,7 +111,7 @@ def is_trace_closed(n: int, s) -> bool:
     return sum(totient(n // d) for d in {math.gcd(x, n) for x in s}) == len(s)
 
 
-@dataclass(frozen=True)
+@frozen
 class SchurRing:
     """Basic-set partition of Z_n, classes ordered by smallest element."""
 
@@ -184,9 +182,9 @@ def generate_sring(n: int, s) -> SchurRing:
     """Basic sets of the smallest Schur ring over Z_n containing the subset s.
 
     Starts from the splitting induced by {0}, s and -s, then refines by
-    exact convolution fingerprints (the class of -x, and how often each
-    unordered class pair {class(a), class(b)} has a + b = x) until the
-    partition is stable.  Each round numbers the distinct fingerprints.
+    exact convolution fingerprints (how often each unordered class pair
+    {class(a), class(b)} has a + b = x) until the partition is stable.
+    Each round numbers the distinct fingerprints.
 
     A trace-closed s is refined on the tau(n) orbits {x : gcd(x, n) = d}
     instead of the n points (``_orbit_sring``); any other s on the orbits of
@@ -219,10 +217,14 @@ def _refine(labels, k: int, split):
     """Split the k classes of ``labels`` by fingerprint rows until none splits.
 
     ``split(labels, k)`` numbers the nodes' rows and returns the new labels
-    and their count.  A node's row is its label, the label of its negation,
-    then how often each unordered class pair {a, b} sums to the node: the
-    orbit path lists (pair code, count) items, the point path the sorted
-    ordered pair codes a * k + b of all ways x = u + (x - u).
+    and their count.  A node's row is its label, then how often each
+    unordered class pair {a, b} sums to the node: the orbit path lists
+    (pair code, count) items, the point path the sorted ordered pair codes
+    a * k + b of all ways x = u + (x - u).  The class of -x needs no column:
+    negation maps {0}, s and -s onto {0}, -s and s, so it permutes the
+    initial classes, and a round that starts with classes negation permutes
+    ends with such classes.  The class of -x is thus a function of the
+    class of x.
     """
     while True:
         new_labels, new_k = split(labels, k)
@@ -243,12 +245,12 @@ def _point_sring(n: int, s: frozenset[int]) -> SchurRing:
     more orbits; a class that is one orbit keeps its label.  Refinement
     stops when nothing splits or every class is one orbit.
 
-    A row is the label of x, the label of -x, then the sorted codes
-    a * k + b of the labels a of u and b of x - u over all u in Z_n.  The
-    ordered pair (A, B) occurs c_AB(x) times there, and c_AB(x) = c_BA(x),
-    so these rows split the points exactly as the per-pair counts do.  A
-    round costs (orbits) * n pairs.  Up to ``MAX_PYTHON_PAIRS`` the rows are
-    sorted lists (``_python_rows``): the whole refinement then costs less
+    A row is the label of x, then the sorted codes a * k + b of the labels
+    a of u and b of x - u over all u in Z_n.  The ordered pair (A, B) occurs
+    c_AB(x) times there, and c_AB(x) = c_BA(x), so these rows split the
+    points exactly as the per-pair counts do.  A round costs (orbits) * n
+    pairs.  Up to ``MAX_PYTHON_PAIRS`` the rows are sorted tuples
+    (``_python_rows``): the whole refinement then costs less
     than importing numpy.  Above it numpy sorts them as one matrix
     (``_numpy_rows``), 4-10x faster on fine rings with n >= 1000; the
     crossover is near 2^18 pairs.
@@ -308,8 +310,8 @@ def _python_rows(lab: list[int], k: int, xs: list[int]) -> list[tuple[int, ...]]
     """The rows of the points xs, less their own label, for point labels ``lab``."""
     n = len(lab)
     lk = [a * k for a in lab]
-    lab2 = lab + lab  # lab2[x + n - u] = lab[x - u]; lab[-x] is the label of -x
-    return [(lab[-x], *sorted(map(add, lk, lab2[x + n:x:-1]))) for x in xs]
+    lab2 = lab + lab  # lab2[x + n - u] = lab[x - u]
+    return [tuple(sorted(map(add, lk, lab2[x + n:x:-1]))) for x in xs]
 
 
 def _numpy_rows(lab: list[int], k: int, xs: list[int]) -> list[int]:
@@ -319,13 +321,11 @@ def _numpy_rows(lab: list[int], k: int, xs: list[int]) -> list[int]:
     n = len(lab)
     lab = np.array(lab, dtype=np.int32)
     lab2 = np.concatenate((lab, lab))
-    rows = np.empty((len(xs), n + 1), dtype=np.int32)
+    rows = np.empty((len(xs), n), dtype=np.int32)
     for row, x in zip(rows, xs):
-        row[0] = lab[-x]
-        row[1:] = lab2[x + n:x:-1]
-    codes = rows[:, 1:]
-    codes += lab * k  # a * k + b < k * k <= 2^24
-    codes.sort(axis=1)
+        row[:] = lab2[x + n:x:-1]
+    rows += lab * k  # a * k + b < k * k <= 2^24
+    rows.sort(axis=1)
     return _number_rows(rows).tolist()
 
 
@@ -342,10 +342,9 @@ def _orbit_sring(n: int, s: frozenset[int]) -> SchurRing:
     A row's counts are sums of counts[d, e, f] = #{(a, b) in O_d x O_e :
     a + b = x}, x in O_f, over the nonzero entries of ``_count_tensor``: the
     product over p^k || n of the local counts N_p(v_p(d), v_p(e) | v_p(f))
-    given in the module docstring.  Every orbit is closed under negation, so
-    the negation column is the label, and a row is the label followed by
-    its nonzero (class pair, count) items.  Only the final classes touch
-    all n points.
+    given in the module docstring.  A row is the label followed by its
+    nonzero (class pair, count) items.  Only the final classes touch all n
+    points.
     """
     nodes = sorted(divisors(n), key=lambda d: d % n)
     by_target = _count_tensor(n, {d: i for i, d in enumerate(nodes)})
@@ -438,15 +437,19 @@ def _number_rows(rows: np.ndarray) -> np.ndarray:
 
     Reads each row as one byte string, sorts those strings, then starts a
     new number wherever one differs from the one before it; equal rows get
-    equal numbers.
+    equal numbers.  Neighbours in sorted order are compared a block of
+    ``_NUMBER_BLOCK_BYTES`` at a time, so no sorted copy of the matrix is
+    made.
     """
     import numpy as np
 
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     order = keys.argsort()
-    ranked = keys[order]
     changed = np.zeros(len(order), dtype=bool)
-    changed[1:] = ranked[1:] != ranked[:-1]
+    block = max(1, _NUMBER_BLOCK_BYTES // keys.itemsize)
+    for start in range(1, len(order), block):
+        ranked = keys[order[start - 1:start + block]]
+        changed[start:start + block] = ranked[1:] != ranked[:-1]
     labels = np.empty(len(order), dtype=np.int64)
     labels[order] = np.cumsum(changed)
     return labels
@@ -457,7 +460,7 @@ def is_rational(ring: SchurRing) -> bool:
     return all(trace(ring.n, t) == t for t in ring.basic_sets)
 
 
-@dataclass(frozen=True)
+@frozen
 class RationalSRing:
     """A rational Schur ring together with its classifying divisor lattice."""
 

@@ -449,3 +449,36 @@ class TestNumpyFree:
             units = ",".join(map(str, sring.units(n)))
             assert (r["code"], r["out"]) == (2, "")
             assert r["err"] == f"error: not rational: trace of {{1}} is {{{units}}}\n"
+
+
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+HEAVY = ("dataclasses", "inspect", "typing")
+loaded = lambda: [m for m in HEAVY if m in sys.modules]
+before = loaded()
+from ratcirc import cli
+out = [{"argv": "import", "code": None, "loaded": loaded()}]
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv.split())
+    out.append({"argv": argv, "code": code, "loaded": loaded()})
+json.dump({"before": before, "runs": out}, sys.stdout)
+"""
+
+
+class TestStartupImports:
+    def test_requests_load_no_dataclasses_inspect_or_typing(self, src_env):
+        # -S: without site hooks, which may preload typing on some hosts.
+        argv = ["analyze 5040 --divisors 2,3,5,7,8,9 --format json", "enumerate 12 --verify",
+                "analyze 360 --divisors 2,3,5,8,9 --generators",
+                "analyze 36 --divisors 2,3,4,6 --oracle",
+                "export-dot 36 --divisors 2,3,4,9 --poset",
+                "analyze 120 --set 1,2,3", "analyze 240 --set 1,2"]
+        done = subprocess.run([sys.executable, "-S", "-c", STARTUP_PROBE, *argv], env=src_env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["before"] == []
+        assert [(r["argv"], r["loaded"]) for r in report["runs"]] == [
+            (a, []) for a in ["import", *argv]]
+        assert [r["code"] for r in report["runs"]] == [None, 0, 0, 0, 0, 0, 2, 2]
