@@ -49,12 +49,6 @@ def factored_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return {p: e for p, e in sorted(out.items()) if e}
 
 
-def factored_pow(a: dict[int, int], k: int) -> dict[int, int]:
-    if k < 0:
-        raise ValueError("negative exponent")
-    return {p: e * k for p, e in sorted(a.items()) if e * k}
-
-
 def factorial_factored(n: int) -> dict[int, int]:
     """Factorization of n! via Legendre's formula; a fresh dict per call."""
     return dict(factorial_items(n))

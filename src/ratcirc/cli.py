@@ -14,19 +14,15 @@ JSON output is byte-deterministic for a fixed request.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from ._record import frozen
 from .arith import factored_str, factored_value_below
 from .errors import BoundExceededError, InternalConsistencyError, NotRationalError
-from .lattice import MAX_MODULUS, DivisorLattice
-from .perms import is_subgroup_of
-from .posets import weak_iso_map
-from .gwp import gwp_generators, gwp_order, render_group_expression, transport
-from .oracle import (DEFAULT_MAX_ORACLE_N, CirculantGraph, brute_force_aut, full_verify,
-                     rational_chain, spectrum)
-from . import sring
+from .lattice import DEFAULT_MAX_ORACLE_N, MAX_MODULUS, DivisorLattice
+# Modules, not names: the package loads each one on first use, so a request
+# runs only the layers it reaches (see the package docstring).
+from . import gwp, oracle, perms, pipeline, posets, sring
 
 _MAX_PLAIN_ORDER = 2 ** 63
 
@@ -92,9 +88,9 @@ def _request(args: argparse.Namespace, **options) -> AnalysisRequest:
 def _analysis_payload(req: AnalysisRequest) -> dict:
     n = req.n
     connection = req.connection_set()
-    ring, lat, poset = rational_chain(n, connection)
-    order = gwp_order(poset)
-    expr = render_group_expression(poset)
+    ring, lat, poset = pipeline.rational_chain(n, connection)
+    order = gwp.gwp_order(poset)
+    expr = gwp.render_group_expression(poset)
 
     payload: dict = {
         "n": n,
@@ -109,7 +105,7 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
         "basic_sets": [sorted(t) for t in ring.basic_sets],
         "lattice": list(lat.elements),
         "poset": poset.to_json_dict(),
-        "map_coefficients": list(weak_iso_map(poset).coefficients),
+        "map_coefficients": list(posets.weak_iso_map(poset).coefficients),
         "order_factored": {str(p): e for p, e in sorted(order.items())},
         "expression": expr.text(),
     }
@@ -118,7 +114,7 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
         payload["order"] = value
 
     if req.include_generators or req.run_oracle:
-        gens = transport(gwp_generators(poset, max_degree=n), poset)
+        gens = gwp.transport(gwp.gwp_generators(poset, max_degree=n), poset)
         if req.include_generators:
             payload["generators"] = [list(g.image) for g in gens]
 
@@ -128,7 +124,8 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
                 f"oracle refused for n={n} (bound {req.max_oracle_n}); "
                 "raise --max-oracle-n to force"
             )
-        oracle_group = brute_force_aut(CirculantGraph.of(n, connection), max_n=req.max_oracle_n)
+        graph = oracle.CirculantGraph.of(n, connection)
+        oracle_group = oracle.brute_force_aut(graph, max_n=req.max_oracle_n)
         oracle_order = oracle_group.order_factored()
         match = oracle_order == order
         payload["oracle"] = {
@@ -139,13 +136,14 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
             raise InternalConsistencyError(
                 f"pipeline order {order} != oracle order {oracle_order}"
             )
-        if not is_subgroup_of(gens, oracle_group):
+        if not perms.is_subgroup_of(gens, oracle_group):
             raise InternalConsistencyError(
                 "a transported generator is not an automorphism found by the oracle"
             )
 
     if req.run_spectrum:
-        payload["spectrum"] = spectrum(CirculantGraph.of(n, connection)).to_json_dict()
+        graph = oracle.CirculantGraph.of(n, connection)
+        payload["spectrum"] = oracle.spectrum(graph).to_json_dict()
 
     return payload
 
@@ -199,15 +197,18 @@ def _dump_json(payload: dict) -> str:
 
     Given an indent, ``json`` uses its pure-Python encoder, so the layout is
     written here: a list of plain ints is joined directly, and every other
-    leaf goes through ``json.dumps``.
+    leaf goes through ``json.dumps``.  ``json`` is imported here, so text
+    output and rejections never load it.
     """
+    import json
+
     parts: list[str] = []
-    _write_json(payload, "\n", parts)
+    _write_json(payload, "\n", parts, json.dumps)
     parts.append("\n")
     return "".join(parts)
 
 
-def _write_json(value, newline: str, parts: list[str]) -> None:
+def _write_json(value, newline: str, parts: list[str], dumps) -> None:
     """Append the JSON of ``value`` to ``parts``, nested at the indent ``newline`` ends with."""
     inner = newline + "  "
     if isinstance(value, (list, tuple)) and value:
@@ -217,19 +218,19 @@ def _write_json(value, newline: str, parts: list[str]) -> None:
         sep = "[" + inner
         for x in value:
             parts.append(sep)
-            _write_json(x, inner, parts)
+            _write_json(x, inner, parts, dumps)
             sep = "," + inner
         parts.append(newline + "]")
     elif isinstance(value, dict) and value and all(type(k) is str for k in value):
         sep = "{" + inner
         for key in sorted(value):
-            parts.append(sep + json.dumps(key) + ": ")
-            _write_json(value[key], inner, parts)
+            parts.append(sep + dumps(key) + ": ")
+            _write_json(value[key], inner, parts, dumps)
             sep = "," + inner
         parts.append(newline + "}")
     else:
         # A scalar, an empty container, or a dict with keys json must convert.
-        parts.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
+        parts.append(dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -259,7 +260,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             f"note: oracle skipped, n={n} exceeds bound {args.max_oracle_n}",
             file=sys.stderr,
         )
-    report = full_verify(n, max_oracle_n=args.max_oracle_n, use_oracle=use_oracle)
+    report = oracle.full_verify(n, max_oracle_n=args.max_oracle_n, use_oracle=use_oracle)
     if args.format == "json":
         sys.stdout.write(_dump_json(report.to_json_dict()))
     else:
@@ -276,7 +277,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     req = _request(args)
-    _, lat, poset = rational_chain(req.n, req.connection_set())
+    _, lat, poset = pipeline.rational_chain(req.n, req.connection_set())
     sys.stdout.write(poset.to_dot() if args.poset else lat.to_dot())
     return 0
 

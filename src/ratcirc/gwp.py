@@ -31,11 +31,10 @@ import math
 from itertools import product
 
 from ._record import frozen
-from .arith import (factored_mul, factored_pow, factorial_factored, factorial_items,
-                    factored_value)
+from .arith import factorial_items, factored_value
 from .errors import BoundExceededError, InternalConsistencyError
 from .lattice import DivisorLattice
-from .perms import Perm
+from . import perms
 from .posets import (
     WeightedPoset,
     _strides,
@@ -59,13 +58,19 @@ def gwp_exponents(p: WeightedPoset) -> tuple[int, ...]:
 
 
 def gwp_order(p: WeightedPoset) -> dict[int, int]:
-    """Factored order: product over i of (w_i!)^(ancestor weight product).
+    """Factored order: product over i of (w_i!)^(ancestor weight product)."""
+    return _factorial_product(zip(p.weights, gwp_exponents(p)))
+
+
+def _factorial_product(powers) -> dict[int, int]:
+    """Factored product of (w!)^m over the (w, m) pairs, primes ascending.
 
     The primes of a smaller factorial are a prefix of those of a larger one,
-    so the largest weight lays out every prime, in ascending order.
+    so the largest weight lays out every prime, in ascending order, and the
+    others add into that one dict.
     """
     order: dict[int, int] = {}
-    for w, m in sorted(zip(p.weights, gwp_exponents(p)), reverse=True):
+    for w, m in sorted(powers, reverse=True):
         if order:
             for q, e in factorial_items(w):
                 order[q] += e * m
@@ -76,7 +81,7 @@ def gwp_order(p: WeightedPoset) -> dict[int, int]:
 
 def gwp_generators(
     p: WeightedPoset, max_degree: int = DEFAULT_MAX_DEGREE
-) -> list[Perm]:
+) -> list[perms.Perm]:
     """Coxeter-style generators on mixed-radix encoded weight tuples.
 
     One generator per (coordinate i, ancestor pattern u, adjacent swap k):
@@ -91,7 +96,7 @@ def gwp_generators(
     weights = p.weights
     strides = _strides(weights)
 
-    gens: list[Perm] = []
+    gens: list[perms.Perm] = []
     for i in range(p.size):
         anc = sorted(p.up_set(i))
         free = [j for j in range(p.size) if j != i and j not in anc]
@@ -110,13 +115,13 @@ def gwp_generators(
                     image[lo + f] = lo + f + si
                     image[lo + f + si] = lo + f
                 # disjoint transpositions, a permutation by construction
-                gens.append(Perm._unchecked(tuple(image)))
+                gens.append(perms.Perm._unchecked(tuple(image)))
     return gens
 
 
 def transport(
     tuple_gens, p: WeightedPoset, verify: bool = True
-) -> list[Perm]:
+) -> list[perms.Perm]:
     """Conjugate generators from tuple space onto Z_n via the coefficient map.
 
     With verification on, every transported generator must permute the
@@ -130,14 +135,14 @@ def transport(
         image = [0] * n
         for idx in range(n):
             image[to_zn[idx]] = to_zn[g.image[idx]]
-        out.append(Perm(image))
+        out.append(perms.Perm(image))
 
     if verify:
         _check_block_structure(out, poset_to_lattice(p))
     return out
 
 
-def _check_block_structure(perms, lat: DivisorLattice) -> None:
+def _check_block_structure(gens, lat: DivisorLattice) -> None:
     """Raise unless each permutation permutes the cosets of Z_l for every inner l of ``lat``.
 
     The cosets of Z_l are the residue classes mod n/l, all of size l, so g
@@ -146,7 +151,7 @@ def _check_block_structure(perms, lat: DivisorLattice) -> None:
     the support is read.  The error names the first generator and least l.
     """
     n = lat.modulus
-    for g in perms:
+    for g in gens:
         support = [x for x, y in enumerate(g.image) if x != y]
         for l in lat.elements[1:-1]:  # Z_1 and Z_n are kept by any bijection
             m = n // l
@@ -169,7 +174,7 @@ class GeneralizedWreathProduct:
     poset: WeightedPoset
     exponents: tuple[int, ...]
     order: tuple[tuple[int, int], ...]
-    generators: tuple[Perm, ...]
+    generators: tuple[perms.Perm, ...]
 
     @property
     def order_factored(self) -> dict[int, int]:
@@ -221,19 +226,26 @@ class GroupExpression:
         return d
 
     def order_factored(self) -> dict[int, int]:
+        return _factorial_product(self._factorial_powers(1, []))
+
+    def _factorial_powers(self, k: int, out: list) -> list:
+        """Append (w, m) to ``out`` for each factor (w!)^m of this order to the power k.
+
+        A wreath node raises its inner part to the number of blocks, the
+        degree of its active part.
+        """
         if self.kind == "sym":
-            return factorial_factored(self.weight)
-        if self.kind == "gwp":
-            return gwp_order(self.poset)
-        if self.kind == "cross":
-            out: dict[int, int] = {}
+            out.append((self.weight, k))
+        elif self.kind == "gwp":
+            out.extend((w, m * k) for w, m in zip(self.poset.weights, gwp_exponents(self.poset)))
+        elif self.kind == "cross":
             for c in self.children:
-                out = factored_mul(out, c.order_factored())
-            return out
-        top, bottom = self.children
-        return factored_mul(
-            top.order_factored(), factored_pow(bottom.order_factored(), top.degree)
-        )
+                c._factorial_powers(k, out)
+        else:
+            top, bottom = self.children
+            top._factorial_powers(k, out)
+            bottom._factorial_powers(k * top.degree, out)
+        return out
 
     def text(self) -> str:
         if self.kind == "sym":

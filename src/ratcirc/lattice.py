@@ -20,6 +20,10 @@ from .errors import BoundExceededError
 
 MAX_MODULUS = 2 ** 32
 DEFAULT_MAX_TAU = 12
+# Largest n the brute-force oracle searches unless told otherwise.  It lives
+# here, beside MAX_MODULUS, because the CLI parser needs it on every request
+# and ``oracle`` is loaded only by the requests that run it.
+DEFAULT_MAX_ORACLE_N = 40
 
 
 def divisors(n: int) -> list[int]:

@@ -20,19 +20,17 @@ most log2|G| of them.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from itertools import combinations
 
 from ._record import frozen
 from .arith import moebius, totient
 from .errors import BoundExceededError, InternalConsistencyError, NotRationalError
-from .lattice import DEFAULT_MAX_TAU, DivisorLattice, divisors, tau
+from .lattice import DEFAULT_MAX_ORACLE_N, DEFAULT_MAX_TAU, DivisorLattice, divisors, tau
 from .perms import Perm, PermutationGroup
 from .posets import WeightedPoset, lattice_to_poset
 from .gwp import gwp_generators, gwp_order, transport
+from .pipeline import rational_chain
 from . import sring
-
-DEFAULT_MAX_ORACLE_N = 40
 
 
 @frozen
@@ -411,33 +409,6 @@ class VerifyReport:
             "all_match": self.all_match,
             "records": [r.to_json_dict() for r in self.records],
         }
-
-
-def rational_chain(
-    n: int, connection
-) -> tuple[sring.SchurRing, DivisorLattice, WeightedPoset]:
-    """Schur ring, divisor lattice and weighted poset of a rational connection set.
-
-    Raises ``NotRationalError`` naming the least element whose trace leaves the set.
-    That includes a set too large for ``generate_sring``'s point path: only a set
-    that is not trace-closed takes that path, and none generates a rational ring.
-    The trace of x is its orbit {y : gcd(y, n) = d}, d = gcd(x, n), of size
-    phi(n/d), so it leaves the set exactly when the set has fewer members of
-    gcd d: one gcd per member finds the offender, and only its trace is built.
-    """
-    try:
-        ring = sring.generate_sring(n, connection)
-        lat = sring.group_basis(ring).lattice
-    except (NotRationalError, BoundExceededError):
-        s = frozenset(x % n for x in connection)
-        members = Counter(math.gcd(x, n) for x in s)
-        short = {d for d, c in members.items() if c < totient(n // d)}
-        offender = min(x for x in s if math.gcd(x, n) in short)
-        tr = sorted(sring.trace(n, {offender}))
-        raise NotRationalError(
-            f"not rational: trace of {{{offender}}} is {{{','.join(map(str, tr))}}}"
-        ) from None
-    return ring, lat, lattice_to_poset(lat)
 
 
 def pipeline_order(

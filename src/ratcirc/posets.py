@@ -380,15 +380,31 @@ _N_PATTERN = poset_from_pairs((3, 2, 3, 2), [(0, 2), (1, 2), (1, 3)]).leq
 
 
 def find_n_subposet(p: WeightedPoset) -> tuple[int, int, int, int] | None:
-    """First 4-tuple of nodes inducing the N relation pattern, if any."""
-    r = p.size
-    for quad in permutations(range(r), 4):
-        if all(
-            p.leq[quad[a]][quad[b]] == _N_PATTERN[a][b]
-            for a in range(4)
-            for b in range(4)
-        ):
-            return quad
+    """First 4-tuple of nodes, in ``permutations`` order, inducing the N relation pattern.
+
+    The tuple is built one node at a time and dropped as soon as one relation
+    to the nodes before it differs from the pattern.  A repeated node is
+    dropped too: a node is below itself both ways, and the pattern, being
+    antisymmetric, relates no two of its nodes both ways.
+    """
+    leq = p.leq
+    nodes = range(p.size)
+    (_, n01, n02, n03), (n10, _, n12, n13), (n20, n21, _, n23), (n30, n31, n32, _) = _N_PATTERN
+    for a in nodes:
+        la = leq[a]
+        for b in nodes:
+            lb = leq[b]
+            if la[b] != n01 or lb[a] != n10:
+                continue
+            for c in nodes:
+                lc = leq[c]
+                if la[c] != n02 or lc[a] != n20 or lb[c] != n12 or lc[b] != n21:
+                    continue
+                for d in nodes:
+                    ld = leq[d]
+                    if (la[d] == n03 and ld[a] == n30 and lb[d] == n13 and ld[b] == n31
+                            and lc[d] == n23 and ld[c] == n32):
+                        return a, b, c, d
     return None
 
 

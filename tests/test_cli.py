@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratcirc import Perm, cli, sring
+import ratcirc
+from ratcirc import Perm, cli, gwp, sring
 from ratcirc.cli import AnalysisRequest, _analysis_payload, _dump_json, build_parser, main
 from ratcirc.oracle import DEFAULT_MAX_ORACLE_N, CirculantGraph, full_verify, spectrum
 
@@ -82,7 +83,7 @@ class TestAnalyze:
 
     def test_oracle_rejects_a_transported_non_automorphism(self, capsys, monkeypatch):
         # Swapping 0 and 1 breaks the hexagon's edge {1, 2}; the order still matches.
-        monkeypatch.setattr(cli, "transport", lambda gens, poset: [Perm.transposition(6, 0, 1)])
+        monkeypatch.setattr(gwp, "transport", lambda gens, poset: [Perm.transposition(6, 0, 1)])
         code, out, err = run(capsys, "analyze", "6", "--set", "1,5", "--oracle")
         assert (code, out) == (1, "")
         assert err == (
@@ -449,6 +450,107 @@ class TestNumpyFree:
             units = ",".join(map(str, sring.units(n)))
             assert (r["code"], r["out"]) == (2, "")
             assert r["err"] == f"error: not rational: trace of {{1}} is {{{units}}}\n"
+
+
+MODULE_PROBE = """
+import contextlib, io, sys, types
+from ratcirc import cli
+code = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+# A lazily registered module that nothing has read yet is still a _LazyModule.
+executed = sorted(name[len("ratcirc."):] for name, m in sys.modules.items()
+                  if name.startswith("ratcirc.") and type(m) is types.ModuleType)
+loaded_json = "json" in sys.modules
+import json
+json.dump({"code": code, "executed": executed, "json": loaded_json}, sys.stdout)
+"""
+
+# The modules each request runs: a layer is compiled only when the request reaches it.
+IMPORT_ONLY = ["_record", "arith", "cli", "errors", "lattice"]
+RING = sorted(IMPORT_ONLY + ["pipeline", "sring"])
+POSET = sorted(RING + ["posets"])
+GROUP = sorted(POSET + ["gwp"])
+GENERATORS = sorted(GROUP + ["perms"])
+EVERYTHING = sorted(GENERATORS + ["oracle"])
+
+
+LAYERS_PER_REQUEST = [
+    ("", None, IMPORT_ONLY, False),
+    ("analyze 240 --set 1,2", 2, RING, False),
+    ("analyze 240 --set 1,2 --format json", 2, RING, False),
+    ("analyze 360 --divisors 2,3,5,8,9", 0, GROUP, False),
+    ("analyze 5040 --divisors 2,3,5,7,8,9 --format json", 0, GROUP, True),
+    ("export-dot 36 --divisors 2,3,4,9 --poset", 0, POSET, False),
+    ("analyze 360 --divisors 2,3,5,8,9 --generators", 0, GENERATORS, False),
+    ("enumerate 12", 0, EVERYTHING, False),
+    ("analyze 36 --divisors 2,3,4,6 --oracle", 0, EVERYTHING, False),
+    ("enumerate 12 --verify --format json", 0, EVERYTHING, True),
+]
+
+
+class TestModulesPerRequest:
+    @pytest.mark.parametrize("argv, code, executed, loads_json", LAYERS_PER_REQUEST,
+                             ids=[row[0] or "import" for row in LAYERS_PER_REQUEST])
+    def test_request_runs_only_the_layers_it_reaches(self, argv, code, executed, loads_json,
+                                                     src_env):
+        # -S: without site hooks, which may preload json on some hosts.
+        done = subprocess.run([sys.executable, "-S", "-c", MODULE_PROBE, *argv.split()],
+                              env=src_env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"code": code, "executed": executed,
+                                           "json": loads_json}
+
+
+# The public names as the package's eager imports bound them, by home module.
+PUBLIC_API = {
+    "errors": ("BoundExceededError", "InternalConsistencyError", "NotRationalError",
+               "RatcircError"),
+    "lattice": ("ComplementIdentityWitness", "DivisorLattice", "complement_identity_check",
+                "divisors", "full_lattice", "lattice_closure", "sublattices", "tau",
+                "trivial_lattice"),
+    "perms": ("Perm", "PermutationGroup", "is_subgroup_of"),
+    "sring": ("RationalSRing", "SchurRing", "basic_sets_from_lattice", "generate_sring",
+              "generator_subset", "group_basis", "is_rational", "is_trace_closed", "orbit_set",
+              "orbit_union", "subgroup", "trace"),
+    "posets": ("AncestralFamily", "PartitionOfZn", "SimplicityReport", "TransportMap",
+               "WeightedPoset", "ancestral_sets", "antichain", "chain", "coset_partition",
+               "crested_product", "equality_partition", "is_simple_lattice", "lattice_to_poset",
+               "orthogonality_check", "poset_block_partition", "poset_from_pairs",
+               "poset_isomorphic", "poset_to_lattice", "simple_reduction_applies",
+               "universal_partition", "weak_iso_map"),
+    "gwp": ("GeneralizedWreathProduct", "GroupExpression", "build_gwp", "gwp_generators",
+            "gwp_order", "render_group_expression", "transport"),
+    "oracle": ("CirculantGraph", "SpectrumReport", "VerifyRecord", "VerifyReport",
+               "brute_force_aut", "count_rational_circulants", "full_verify", "pipeline_order",
+               "ramanujan_sum", "rational_iso_test", "schurity_check", "spectrum"),
+}
+
+
+class TestPublicApi:
+    def test_every_public_name_resolves_to_its_home_module(self):
+        listed = dir(ratcirc)
+        for module, names in PUBLIC_API.items():
+            home = sys.modules[f"ratcirc.{module}"]
+            assert getattr(ratcirc, module) is home
+            for name in names:
+                obj = getattr(home, name)
+                assert getattr(ratcirc, name) is obj, name
+                namespace: dict = {}
+                exec(f"from ratcirc import {name}", namespace)
+                assert namespace[name] is obj, name
+                assert name in listed, name
+        public = {name for names in PUBLIC_API.values() for name in names}
+        star: dict = {}
+        exec("from ratcirc import *", star)
+        assert public | set(PUBLIC_API) <= set(star)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            ratcirc.no_such_name
+        with pytest.raises(ImportError, match="no_such_name"):
+            exec("from ratcirc import no_such_name", {})
 
 
 STARTUP_PROBE = """

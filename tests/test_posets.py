@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +14,10 @@ from ratcirc import (
     coset_partition,
     crested_product,
     equality_partition,
+    divisors,
     full_lattice,
     is_simple_lattice,
+    lattice_closure,
     lattice_to_poset,
     orthogonality_check,
     poset_block_partition,
@@ -29,7 +31,15 @@ from ratcirc import (
     universal_partition,
     weak_iso_map,
 )
-from ratcirc.posets import PartitionOfZn, complement_weight_product, find_n_subposet
+from ratcirc.posets import _N_PATTERN, PartitionOfZn, complement_weight_product, find_n_subposet
+
+
+def reference_find_n_subposet(p):
+    """The first of all ordered 4-tuples of nodes whose 16 relations match the N pattern."""
+    for quad in permutations(range(p.size), 4):
+        if all(p.leq[quad[a]][quad[b]] == _N_PATTERN[a][b] for a in range(4) for b in range(4)):
+            return quad
+    return None
 
 
 def reference_poset_to_lattice(p):
@@ -357,6 +367,16 @@ class TestSimplicity:
         assert find_n_subposet(poset_n) == (0, 1, 2, 3)
         assert find_n_subposet(chain((2, 3, 5))) is None
 
+    def test_n_detector_matches_the_permutation_scan(self):
+        found = 0
+        for n in range(2, 61):
+            for lat in sublattices(n):
+                p = lattice_to_poset(lat)
+                quad = find_n_subposet(p)
+                assert quad == reference_find_n_subposet(p), (n, lat.elements)
+                found += quad is not None
+        assert found > 0
+
 
 class TestDot:
     def test_poset_n_dot(self, poset_n):
@@ -370,6 +390,15 @@ class TestDot:
             tuple(d["weights"]), [(i - 1, j - 1) for i, j in d["relations"]]
         )
         assert rebuilt == poset_n
+
+
+@given(st.sampled_from([55440, 720720, 9699690]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_n_detector_matches_the_permutation_scan_on_random_closures(n, data):
+    """Moduli with more than 12 divisors, beyond the exhaustive sublattice sweep."""
+    seed = data.draw(st.lists(st.sampled_from(divisors(n)), max_size=5))
+    p = lattice_to_poset(lattice_closure(n, seed))
+    assert find_n_subposet(p) == reference_find_n_subposet(p)
 
 
 @given(st.data())

@@ -177,7 +177,7 @@ RECORD_FIELDS = {
 
 
 def test_public_records_keep_their_fields():
-    exported = {obj for obj in vars(ratcirc).values()
+    exported = {obj for obj in (getattr(ratcirc, name) for name in dir(ratcirc))
                 if isinstance(obj, type) and hasattr(obj, "__match_args__")}
     assert exported == set(RECORD_FIELDS) - {cli.AnalysisRequest}
     for cls, fields in RECORD_FIELDS.items():
