@@ -13,8 +13,8 @@ module, whose code is compiled and run when one of its attributes is
 first read; the public names below resolve through the module
 ``__getattr__`` (PEP 562).  So a CLI request compiles only the layers it
 runs: a set rejected by the ring layer never loads ``posets``, ``gwp``,
-``perms`` or ``oracle``.  Function-local imports would do the same for
-the CLI, but ``bench/tracer.py`` finds every layer as
+``perms``, ``groundtruth`` or ``oracle``.  Function-local imports would
+do the same for the CLI, but ``bench/tracer.py`` finds every layer as
 ``sys.modules["ratcirc.<module>"]`` right after ``import ratcirc.cli``,
 and library users keep ``ratcirc.<name>`` and ``from ratcirc import
 <name>`` exactly as before.  ``ratcirc.cli`` is not registered: ``python
@@ -89,26 +89,28 @@ _HOME = {
             "render_group_expression",
             "transport",
         ),
-        "oracle": (
+        "groundtruth": (
             "CirculantGraph",
             "SpectrumReport",
+            "brute_force_aut",
+            "ramanujan_sum",
+            "spectrum",
+        ),
+        "oracle": (
             "VerifyRecord",
             "VerifyReport",
-            "brute_force_aut",
             "count_rational_circulants",
             "full_verify",
             "pipeline_order",
-            "ramanujan_sum",
             "rational_iso_test",
             "schurity_check",
-            "spectrum",
         ),
     }.items()
     for name in names
 }
 
 _SUBMODULES = ("_record", "arith", "errors", "lattice", "sring", "pipeline", "posets",
-               "perms", "gwp", "oracle")
+               "perms", "gwp", "groundtruth", "oracle")
 
 
 def _register_lazily(name: str):

@@ -8,6 +8,7 @@ its factorization is cheap (products of factorials).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -40,13 +41,6 @@ def moebius(n: int) -> int:
     if any(e > 1 for e in f.values()):
         return 0
     return -1 if len(f) % 2 else 1
-
-
-def factored_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out = dict(a)
-    for p, e in b.items():
-        out[p] = out.get(p, 0) + e
-    return {p: e for p, e in sorted(out.items()) if e}
 
 
 def factorial_factored(n: int) -> dict[int, int]:
@@ -82,8 +76,8 @@ def _primes_upto(n: int) -> list[int]:
     sieve[0] = sieve[1] = 0
     for p in range(2, int(n ** 0.5) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, n + 1) if sieve[p]]
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), sieve))
 
 
 def factored_value(f: dict[int, int]) -> int:

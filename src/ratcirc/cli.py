@@ -22,7 +22,7 @@ from .errors import BoundExceededError, InternalConsistencyError, NotRationalErr
 from .lattice import DEFAULT_MAX_ORACLE_N, MAX_MODULUS, DivisorLattice
 # Modules, not names: the package loads each one on first use, so a request
 # runs only the layers it reaches (see the package docstring).
-from . import gwp, oracle, perms, pipeline, posets, sring
+from . import groundtruth, gwp, oracle, perms, pipeline, posets, sring
 
 _MAX_PLAIN_ORDER = 2 ** 63
 
@@ -124,8 +124,8 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
                 f"oracle refused for n={n} (bound {req.max_oracle_n}); "
                 "raise --max-oracle-n to force"
             )
-        graph = oracle.CirculantGraph.of(n, connection)
-        oracle_group = oracle.brute_force_aut(graph, max_n=req.max_oracle_n)
+        graph = groundtruth.CirculantGraph.of(n, connection)
+        oracle_group = groundtruth.brute_force_aut(graph, max_n=req.max_oracle_n)
         oracle_order = oracle_group.order_factored()
         match = oracle_order == order
         payload["oracle"] = {
@@ -142,8 +142,8 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
             )
 
     if req.run_spectrum:
-        graph = oracle.CirculantGraph.of(n, connection)
-        payload["spectrum"] = oracle.spectrum(graph).to_json_dict()
+        graph = groundtruth.CirculantGraph.of(n, connection)
+        payload["spectrum"] = groundtruth.spectrum(graph).to_json_dict()
 
     return payload
 
@@ -337,10 +337,7 @@ def main(argv=None) -> int:
         if args.n > MAX_MODULUS:
             raise ValueError("n must be at most 2^32")
         return args.func(args)
-    except NotRationalError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (NotRationalError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BoundExceededError as e:

@@ -196,17 +196,14 @@ def sublattices(n: int, max_tau: int = DEFAULT_MAX_TAU) -> list[DivisorLattice]:
             f"instance too large: n={n} has {tau(n)} divisors (bound {max_tau})"
         )
     inner = [d for d in divisors(n) if d not in (1, n)]
-    found = []
-    for r in range(len(inner) + 1):
+    # {1, n} is always closed, so only an out-of-range n makes this raise.
+    found = [trivial_lattice(n)]
+    for r in range(1, len(inner) + 1):
         for combo in combinations(inner, r):
-            chosen = set(combo) | {1, n}
-            ok = True
-            for x, y in combinations(sorted(chosen), 2):
-                if math.gcd(x, y) not in chosen or (x * y) // math.gcd(x, y) not in chosen:
-                    ok = False
-                    break
-            if ok:
-                found.append(DivisorLattice.of(n, chosen))
+            try:
+                found.append(DivisorLattice.of(n, {*combo, 1, n}))
+            except ValueError:  # not gcd/lcm-closed
+                pass
     found.sort(key=lambda L: (len(L.elements), L.elements))
     return found
 

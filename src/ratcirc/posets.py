@@ -247,8 +247,7 @@ class TransportMap:
         for w, c in zip(poset.weights, self.coefficients):
             points = [(v + c * x) % n for v in points for x in range(w)]
         self.points = tuple(points)
-        self._index = dict(zip(points, range(n)))
-        if len(self._index) != n:
+        if len(dict.fromkeys(points)) != n:
             raise InternalConsistencyError(
                 f"coefficient map {self.coefficients} is not a bijection mod {n}"
             )
@@ -257,7 +256,7 @@ class TransportMap:
         return sum(c * x for c, x in zip(self.coefficients, t)) % self.n
 
     def point_to_tuple(self, v: int) -> tuple[int, ...]:
-        k, ws = self._index[v % self.n], self.poset.weights
+        k, ws = self.points.index(v % self.n), self.poset.weights
         return tuple(k // s % w for s, w in zip(_strides(ws), ws))
 
 

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import ratcirc
 from ratcirc import Perm, cli, gwp, sring
 from ratcirc.cli import AnalysisRequest, _analysis_payload, _dump_json, build_parser, main
-from ratcirc.oracle import DEFAULT_MAX_ORACLE_N, CirculantGraph, full_verify, spectrum
+from ratcirc.groundtruth import CirculantGraph, spectrum
+from ratcirc.oracle import DEFAULT_MAX_ORACLE_N, full_verify
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -473,7 +474,8 @@ RING = sorted(IMPORT_ONLY + ["pipeline", "sring"])
 POSET = sorted(RING + ["posets"])
 GROUP = sorted(POSET + ["gwp"])
 GENERATORS = sorted(GROUP + ["perms"])
-EVERYTHING = sorted(GENERATORS + ["oracle"])
+GROUND_TRUTH = sorted(GENERATORS + ["groundtruth"])
+EVERYTHING = sorted(GROUND_TRUTH + ["oracle"])
 
 
 LAYERS_PER_REQUEST = [
@@ -485,7 +487,7 @@ LAYERS_PER_REQUEST = [
     ("export-dot 36 --divisors 2,3,4,9 --poset", 0, POSET, False),
     ("analyze 360 --divisors 2,3,5,8,9 --generators", 0, GENERATORS, False),
     ("enumerate 12", 0, EVERYTHING, False),
-    ("analyze 36 --divisors 2,3,4,6 --oracle", 0, EVERYTHING, False),
+    ("analyze 36 --divisors 2,3,4,6 --oracle", 0, GROUND_TRUTH, False),
     ("enumerate 12 --verify --format json", 0, EVERYTHING, True),
 ]
 
@@ -501,6 +503,31 @@ class TestModulesPerRequest:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == {"code": code, "executed": executed,
                                            "json": loads_json}
+
+
+GROUND_TRUTH_PROBE = """
+import json, sys, types
+from ratcirc import groundtruth as gt
+order = gt.brute_force_aut(gt.CirculantGraph.of(12, {2, 3, 9, 10})).order()
+exact = gt.spectrum(gt.CirculantGraph.of(12, {2, 10}))
+dft = gt.spectrum(gt.CirculantGraph.of(12, {1, 2}))
+executed = sorted(name[len("ratcirc."):] for name, m in sys.modules.items()
+                  if name.startswith("ratcirc.") and type(m) is types.ModuleType)
+json.dump({"order": order, "exact": [exact.exact, dft.exact], "executed": executed}, sys.stdout)
+"""
+
+
+class TestGroundTruthIndependence:
+    def test_ground_truth_cannot_reach_the_pipeline(self, src_env):
+        # Not -S: spectrum needs numpy from site-packages.
+        done = subprocess.run([sys.executable, "-c", GROUND_TRUTH_PROBE], env=src_env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["order"] > 1 and report["exact"] == [True, False]
+        assert "groundtruth" in report["executed"]
+        assert set(report["executed"]) <= {"_record", "arith", "errors", "lattice", "perms",
+                                           "groundtruth"}
 
 
 # The public names as the package's eager imports bound them, by home module.
@@ -522,9 +549,10 @@ PUBLIC_API = {
                "universal_partition", "weak_iso_map"),
     "gwp": ("GeneralizedWreathProduct", "GroupExpression", "build_gwp", "gwp_generators",
             "gwp_order", "render_group_expression", "transport"),
-    "oracle": ("CirculantGraph", "SpectrumReport", "VerifyRecord", "VerifyReport",
-               "brute_force_aut", "count_rational_circulants", "full_verify", "pipeline_order",
-               "ramanujan_sum", "rational_iso_test", "schurity_check", "spectrum"),
+    "groundtruth": ("CirculantGraph", "SpectrumReport", "brute_force_aut", "ramanujan_sum",
+                    "spectrum"),
+    "oracle": ("VerifyRecord", "VerifyReport", "count_rational_circulants", "full_verify",
+               "pipeline_order", "rational_iso_test", "schurity_check"),
 }
 
 

@@ -26,9 +26,10 @@ from ratcirc import (
     sublattices,
     trivial_lattice,
 )
-from ratcirc import InternalConsistencyError, oracle, sring
+from ratcirc import InternalConsistencyError, groundtruth, sring
 from ratcirc.arith import factored_value
-from ratcirc.oracle import _search_automorphism, rational_chain
+from ratcirc.groundtruth import _class_eigenvalues, _search_automorphism
+from ratcirc.pipeline import rational_chain
 
 
 def reference_brute_force_order(graph: CirculantGraph) -> int:
@@ -186,7 +187,7 @@ class TestBruteForceAut:
     def test_chain_cross_check_catches_a_short_orbit(self, monkeypatch):
         # Every closure of more than one point loses its largest point, so
         # each nontrivial orbit comes out one short of the chain's.
-        close = oracle._close
+        close = groundtruth._close
 
         def drop_one(orbit, gens):
             close(orbit, gens)
@@ -194,7 +195,7 @@ class TestBruteForceAut:
                 orbit.discard(max(orbit))
             return orbit
 
-        monkeypatch.setattr(oracle, "_close", drop_one)
+        monkeypatch.setattr(groundtruth, "_close", drop_one)
         with pytest.raises(InternalConsistencyError, match=r"orbit product \d+ != chain order \d+"):
             brute_force_aut(CirculantGraph.of(6, {1, 5}))
 
@@ -253,6 +254,39 @@ class TestSpectrum:
                         s |= {x, (n - x) % n}
                 rep = spectrum(CirculantGraph.of(n, s))
                 assert rep.integral == is_rational(generate_sring(n, s)), (n, sorted(s))
+
+
+def per_frequency_eigenvalues(n: int, ds, memo: dict) -> list[int]:
+    """The exact eigenvalues as they were computed before: one character sum per j."""
+    def c(q, j):
+        if (q, j) not in memo:
+            memo[q, j] = ramanujan_sum(q, j)
+        return memo[q, j]
+
+    return [sum(c(n // d, j) for d in ds) for j in range(n)]
+
+
+class TestSpectrumPerClass:
+    def test_every_divisor_subset_up_to_60(self):
+        for n in range(1, 61):
+            proper = [d for d in divisors(n) if d != n]
+            memo: dict = {}
+            for k in range(len(proper) + 1):
+                for ds in combinations(proper, k):
+                    expected = per_frequency_eigenvalues(n, ds, memo)
+                    assert _class_eigenvalues(n, set(ds)).tolist() == expected, (n, ds)
+                    rep = spectrum(CirculantGraph.of(n, orbit_union(n, ds)))
+                    assert rep.exact and rep.values == tuple(sorted(expected, reverse=True))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_divisor_subsets(self, data):
+        n = data.draw(st.integers(61, 3000), label="n")
+        ds = data.draw(st.sets(st.sampled_from([d for d in divisors(n) if d != n])), label="ds")
+        expected = per_frequency_eigenvalues(n, ds, {})
+        assert _class_eigenvalues(n, ds).tolist() == expected
+        rep = spectrum(CirculantGraph.of(n, orbit_union(n, ds)))
+        assert rep.exact and rep.values == tuple(sorted(expected, reverse=True))
 
 
 class TestSchurity:
