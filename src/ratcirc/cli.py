@@ -89,6 +89,12 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
     n = req.n
     connection = req.connection_set()
     ring, lat, poset = pipeline.rational_chain(n, connection)
+    # Refused before the generators are built: a set that is not rational still exits 2.
+    if req.run_oracle and n > req.max_oracle_n:
+        raise BoundExceededError(
+            f"oracle refused for n={n} (bound {req.max_oracle_n}); "
+            "raise --max-oracle-n to force"
+        )
     order = gwp.gwp_order(poset)
     expr = gwp.render_group_expression(poset)
 
@@ -119,11 +125,6 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
             payload["generators"] = [list(g.image) for g in gens]
 
     if req.run_oracle:
-        if n > req.max_oracle_n:
-            raise BoundExceededError(
-                f"oracle refused for n={n} (bound {req.max_oracle_n}); "
-                "raise --max-oracle-n to force"
-            )
         graph = groundtruth.CirculantGraph.of(n, connection)
         oracle_group = groundtruth.brute_force_aut(graph, max_n=req.max_oracle_n)
         oracle_order = oracle_group.order_factored()

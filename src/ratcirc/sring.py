@@ -3,48 +3,47 @@
 A Schur ring is a partition of Z_n whose classes contain {0}, are closed
 under negation as a family, and whose pairwise convolutions are constant
 on every class.  ``generate_sring`` computes the smallest such partition
-containing a given subset by fingerprint stabilization: classes are
-repeatedly split by their exact convolution counts against every class
-pair until nothing moves.  Rational rings are the ones whose
-classes are unions of the multiplicative orbits {x : gcd(x, n) = d};
-those are classified by divisor lattices, and both directions of that
-dictionary live here.  A trace-closed subset (a union of those orbits)
-generates a rational ring, and ``generate_sring`` refines it on the tau(n)
-orbits instead of on the n points.  Other subsets are refined on the
-orbits of their multipliers M = {m in Z_n^* : mS = S}, which fix every
-class (Schur's theorem on multipliers): the row of an orbit's least
-element x lists, sorted, the codes of the class pairs (class(u),
-class(x - u)) over all u in Z_n.  That path refuses n > ``MAX_POINT_N`` up
-front.  Up to ``MAX_PYTHON_PAIRS`` orbit-point pairs a round its rows are
-pure Python, which costs less than importing numpy; above it numpy sorts
-them as one matrix, 4-10x faster on fine rings with n >= 1000.  No such
-subset generates a rational ring: it is a union of classes, and the
-classes of a rational ring are trace-closed.
+containing a given subset.  Rational rings are the ones whose classes are
+unions of the multiplicative orbits O_d = {x : gcd(x, n) = d}; each is the
+ring of one divisor lattice L (x lands in the class of the least member of
+L divisible by its order n/d, the class's owner), and both directions of
+that dictionary live here.  A subset that is not trace-closed (not a union
+of orbits) is refined by fingerprint stabilization on the orbits of its
+multipliers M = {m in Z_n^* : mS = S}, which fix every class (Schur's
+theorem on multipliers): the row of an orbit's least element x lists,
+sorted, the codes of the class pairs (class(u), class(x - u)) over all u in
+Z_n, and classes are split by their rows until nothing moves.  That path
+refuses n > ``MAX_POINT_N`` up front.  Up to ``MAX_PYTHON_PAIRS``
+orbit-point pairs a round its rows are pure Python, which costs less than
+importing numpy; above it numpy sorts them as one matrix, 4-10x faster on
+fine rings with n >= 1000.  No such subset generates a rational ring: it is
+a union of classes, and the classes of a rational ring are trace-closed.
 
-The orbit refinement needs the counts #{(a, b) in O_d x O_e : a + b = x}
-for x in O_f.  By the Chinese remainder theorem they are products over the
-prime powers p^k || n of local counts on Z_{p^k}.  There V_i = {u : v_p(u)
-= i} has phi(p^(k-i)) elements (V_k = {0}), and the number
-N(i, j | l) of u in V_i with x - u in V_j, for a fixed x in V_l, is
-
-* |V_i| if i != l and j = min(i, l), and 0 for any other j;
-* |V_j| if i = l < k and j > l, and p^(k-l-1) (p - 2) if i = j = l < k;
-* 1 if i = j = l = k.
-
-Only the nonzero products are kept, and each unordered pair {d, e} once:
-4947 entries at n = 5040, where the dense tau(n)^3 tensor has 216000 (9300
-of them nonzero).  The orbit path is pure Python.
+A trace-closed S, the union of the O_d over d in D, is read off a lattice
+instead.  Its ring <S> is rational: a unit multiplier fixes S, and the
+refinement is equivariant, so it fixes every class.  A coarser rational
+ring is the ring of a sublattice, so <S> is the ring of the least lattice
+L* whose ring has S as a union of classes.  The fixpoint starts from
+L = {1, n}; in each class of L's ring it takes the orders n/d whose
+membership in S differs from that of the owner's own orbit, adds the
+divisibility-maximal ones to L, closes L under gcd and lcm, and stops when
+nothing is added.  Each added order o lies in L*, so L stays inside L*:
+were o's owner in L* some m != o, then m, a multiple of o in L*, would lie
+in o's class of L's ring, and by maximality share the owner's membership,
+so o and m would be one class of L*'s ring with two memberships.  At the
+fixpoint every class has one membership, so L contains L*, and L = L*.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import compress
 from operator import add
 
 from ._record import frozen
 from .arith import factorize, totient
 from .errors import BoundExceededError, InternalConsistencyError, NotRationalError
-from .lattice import DivisorLattice, divisors
+from .lattice import DivisorLattice, divisors, lattice_closure
 
 # Largest modulus refined point by point: a round may sort an n x n code matrix.
 MAX_POINT_N = 4096
@@ -106,9 +105,18 @@ def trace(n: int, s) -> frozenset[int]:
 
 
 def is_trace_closed(n: int, s) -> bool:
-    """True iff s mod n fills the orbits O_d it meets: their sizes phi(n/d) sum to |s|."""
-    s = frozenset(x % n for x in s)
-    return sum(totient(n // d) for d in {math.gcd(x, n) for x in s}) == len(s)
+    """True iff s mod n fills every orbit O_d it meets."""
+    return not _gcd_classes(n, frozenset(x % n for x in s))[1]
+
+
+def _gcd_classes(n: int, s: frozenset[int]) -> tuple[set[int], set[int]]:
+    """The gcds d = gcd(x, n) of the members x of s, and the short ones among them.
+
+    s must be reduced mod n.  O_d is short when s holds fewer than its
+    phi(n/d) members; s is trace-closed exactly when no O_d is short.
+    """
+    counts = Counter(math.gcd(x, n) for x in s)
+    return set(counts), {d for d, c in counts.items() if c < totient(n // d)}
 
 
 @frozen
@@ -181,25 +189,52 @@ class SchurRing:
 def generate_sring(n: int, s) -> SchurRing:
     """Basic sets of the smallest Schur ring over Z_n containing the subset s.
 
-    Starts from the splitting induced by {0}, s and -s, then refines by
-    exact convolution fingerprints (how often each unordered class pair
-    {class(a), class(b)} has a + b = x) until the partition is stable.
-    Each round numbers the distinct fingerprints.
-
-    A trace-closed s is refined on the tau(n) orbits {x : gcd(x, n) = d}
-    instead of the n points (``_orbit_sring``); any other s on the orbits of
-    its multipliers (``_point_sring``), which raises ``BoundExceededError``
-    for n > ``MAX_POINT_N``.  Both give the classes of the refinement on all
-    n points round by round.
+    A trace-closed s gives the ring of the least lattice that splits it
+    (``_lattice_sring``).  Any other s is refined by exact convolution
+    fingerprints on the orbits of its multipliers (``_point_sring``), which
+    raises ``BoundExceededError`` for n > ``MAX_POINT_N``.
     """
     if n < 1:
         raise ValueError("modulus must be positive")
     s = frozenset(x % n for x in s)
     if n == 1:
         return SchurRing(1, (frozenset({0}),))
-    if is_trace_closed(n, s):
-        return _orbit_sring(n, s)
-    return _point_sring(n, s)
+    met, short = _gcd_classes(n, s)
+    if short:
+        return _point_sring(n, s)
+    return _lattice_sring(n, met)
+
+
+def _lattice_sring(n: int, met: set[int]) -> SchurRing:
+    """The ring of the union of the orbits O_d, d in ``met``, with n >= 2.
+
+    Runs the lattice fixpoint of the module docstring on the tau(n) orbits;
+    the owner l's own orbit is O_{n/l}.  The divisors d ascend, so their
+    orders n/d descend: an order is maximal among its class's mismatches
+    when no order kept before it is a multiple.  Only the final classes
+    touch the n points.
+    """
+    ds = divisors(n)
+    members: tuple[int, ...] = (1, n)
+    while True:
+        owner = _owners(n, members, ds)
+        tops: dict[int, list[int]] = {}  # owner -> its class's maximal mismatched orders
+        for d, l in zip(ds, owner):
+            o, kept = n // d, tops.setdefault(l, [])
+            if (d in met) != (n // l in met) and all(m % o for m in kept):
+                kept.append(o)
+        added = [o for kept in tops.values() for o in kept]
+        if not added:
+            return _orbit_ring(n, [d % n for d in ds], owner)
+        members = lattice_closure(n, [*members, *added]).elements
+
+
+def _owners(n: int, members: tuple[int, ...], ds: list[int]) -> list[int]:
+    """The owner of each orbit O_d, d in ``ds``: the least member divisible by n/d.
+
+    ``members`` are a lattice's, ascending; O_d lies in the owner's class of its ring.
+    """
+    return [next(l for l in members if l % (n // d) == 0) for d in ds]
 
 
 def _initial_labels(n: int, s: frozenset[int], points) -> tuple[list[int], int]:
@@ -217,14 +252,12 @@ def _refine(labels, k: int, split):
     """Split the k classes of ``labels`` by fingerprint rows until none splits.
 
     ``split(labels, k)`` numbers the nodes' rows and returns the new labels
-    and their count.  A node's row is its label, then how often each
-    unordered class pair {a, b} sums to the node: the orbit path lists
-    (pair code, count) items, the point path the sorted ordered pair codes
-    a * k + b of all ways x = u + (x - u).  The class of -x needs no column:
-    negation maps {0}, s and -s onto {0}, -s and s, so it permutes the
-    initial classes, and a round that starts with classes negation permutes
-    ends with such classes.  The class of -x is thus a function of the
-    class of x.
+    and their count.  A node's row is its label, then the sorted ordered
+    pair codes a * k + b of all ways x = u + (x - u).  The class of -x
+    needs no column: negation maps {0}, s and -s onto {0}, -s and s, so it
+    permutes the initial classes, and a round that starts with classes
+    negation permutes ends with such classes.  The class of -x is thus a
+    function of the class of x.
     """
     while True:
         new_labels, new_k = split(labels, k)
@@ -329,47 +362,6 @@ def _numpy_rows(lab: list[int], k: int, xs: list[int]) -> list[int]:
     return _number_rows(rows).tolist()
 
 
-def _orbit_sring(n: int, s: frozenset[int]) -> SchurRing:
-    """``generate_sring`` refined on the orbits O_d = {x : gcd(x, n) = d}.
-
-    s must be a union of orbits, reduced mod n, with n >= 2.  Multiplying
-    by a unit is an automorphism of (Z_n, +) that fixes s, so it maps each
-    class onto itself at every round: every class is a union of orbits, and
-    every point has the row of its orbit's least element.  Nodes are the
-    orbits in order of least element (0, then the proper divisors of n), so
-    the classes are those of ``_point_sring`` round by round.
-
-    A row's counts are sums of counts[d, e, f] = #{(a, b) in O_d x O_e :
-    a + b = x}, x in O_f, over the nonzero entries of ``_count_tensor``: the
-    product over p^k || n of the local counts N_p(v_p(d), v_p(e) | v_p(f))
-    given in the module docstring.  A row is the label followed by its
-    nonzero (class pair, count) items.  Only the final classes touch all n
-    points.
-    """
-    nodes = sorted(divisors(n), key=lambda d: d % n)
-    by_target = _count_tensor(n, {d: i for i, d in enumerate(nodes)})
-
-    def split(labels: list[int], k: int) -> tuple[list[int], int]:
-        rows = []
-        for f, entries in enumerate(by_target):
-            counts: dict[int, int] = {}
-            for d, e, c, c_same in entries:
-                a, b = labels[d], labels[e]
-                if a < b:
-                    key = a * k + b
-                elif a > b:
-                    key = b * k + a
-                else:
-                    key, c = a * k + a, c_same
-                counts[key] = counts.get(key, 0) + c
-            rows.append((labels[f], *sorted(counts.items())))
-        number = {row: i for i, row in enumerate(sorted(set(rows)))}
-        return [number[row] for row in rows], len(number)
-
-    reps = [d % n for d in nodes]
-    return _orbit_ring(n, reps, _refine(*_initial_labels(n, s, reps), split))
-
-
 def _orbit_ring(n: int, reps: list[int], labels: list[int]) -> SchurRing:
     """The ring whose classes join the orbits O_gcd(x, n), x in ``reps``, of equal label.
 
@@ -379,49 +371,6 @@ def _orbit_ring(n: int, reps: list[int], labels: list[int]) -> SchurRing:
     return SchurRing(n, tuple(
         orbit_union(n, {math.gcd(x, n) for x in xs}) for xs in _groups(reps, labels)
     ))
-
-
-def _local_counts(p: int, k: int) -> list[tuple[int, int, int, int]]:
-    """The nonzero local counts N(i, j | l) on Z_{p^k}, as (p^i, p^j, p^l, N).
-
-    The closed form is the one in the module docstring.
-    """
-    size = [totient(p ** (k - i)) for i in range(k + 1)]
-    out = []
-    for l in range(k + 1):
-        out.extend((p ** i, p ** min(i, l), p ** l, size[i]) for i in range(k + 1) if i != l)
-        out.extend((p ** l, p ** j, p ** l, size[j]) for j in range(l + 1, k + 1))
-        if l == k:
-            out.append((p ** k, p ** k, p ** k, 1))
-        elif p > 2:
-            out.append((p ** l, p ** l, p ** l, p ** (k - l - 1) * (p - 2)))
-    return out
-
-
-def _count_tensor(n: int, index: dict[int, int]) -> list[list[tuple[int, int, int, int]]]:
-    """The nonzero counts[d, e, f] of ``_orbit_sring``, grouped by f.
-
-    ``index`` numbers the divisors of n (n for the orbit {0}).  Entry
-    (index[d], index[e], c, c_same) of list index[f] is counts[d, e, f] = c.
-    counts[d, e, f] = counts[e, d, f], so each unordered pair {d, e} is
-    kept once: c_same = 2c is what the pair adds to a class that holds
-    both, and c_same = c when d = e.
-    """
-    # The kept order of (d, e) is lexicographic on their exponent vectors;
-    # ``tie`` marks entries whose exponents have agreed on every prime so far.
-    entries = [(1, 1, 1, 1, True)]
-    for p, k in factorize(n).items():
-        local = _local_counts(p, k)
-        entries = [
-            (d * pi, e * pj, f * pl, c * m, tie and pi == pj)
-            for d, e, f, c, tie in entries
-            for pi, pj, pl, m in local
-            if not tie or pi <= pj
-        ]
-    by_target: list[list[tuple[int, int, int, int]]] = [[] for _ in index]
-    for d, e, f, c, tie in entries:
-        by_target[index[f]].append((index[d], index[e], c, c if tie else 2 * c))
-    return by_target
 
 
 def _groups(nodes, labels: list[int]) -> list[list[int]]:
@@ -499,14 +448,14 @@ def basic_sets_from_lattice(lat: DivisorLattice) -> RationalSRing:
     Element x of Z_n generates a subgroup of some order o(x); it lands in
     the class of the smallest lattice member divisible by o(x).  This is
     the subgroup Z_l stripped of all smaller lattice subgroups.  The order
-    is n/d on the whole orbit O_d, so the rule is applied once per divisor d.
+    is n/d on the whole orbit O_d, so ``_owners`` applies the rule once per
+    divisor d.
     """
     if not lat.is_unital:
         raise ValueError("lattice must contain 1")
     n = lat.modulus
     ds = divisors(n)
-    owner = [min(l for l in lat.elements if l % (n // d) == 0) for d in ds]
-    return RationalSRing(_orbit_ring(n, [d % n for d in ds], owner), lat)
+    return RationalSRing(_orbit_ring(n, [d % n for d in ds], _owners(n, lat.elements, ds)), lat)
 
 
 def generator_subset(lat: DivisorLattice, verify: bool = True) -> frozenset[int]:

@@ -107,12 +107,19 @@ class TestAnalyze:
 
     def test_large_rational_modulus_under_address_space_cap(self, tmp_path, src_env):
         # tau(55440) = 120; n is far above the point path's bound, so only
-        # the orbit refinement can answer it under the cap.
+        # the lattice path can answer it under the cap.
         done = run_child(tmp_path, src_env,
                          "analyze", "55440", "--divisors", "2,3,5,7,8,9,11", "--format", "json")
         assert done.returncode == 0, done.stderr
         payload = json.loads(done.stdout)
         assert payload["rank"] == len(payload["lattice"])
+
+    def test_oracle_refused_before_generators_under_address_space_cap(self, tmp_path, src_env):
+        # Building the generators of this n = 55440 ring would exhaust the cap.
+        done = run_child(tmp_path, src_env,
+                         "analyze", "55440", "--divisors", "2,3,5,7,8,9,11", "--oracle")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            3, "", "error: oracle refused for n=55440 (bound 40); raise --max-oracle-n to force\n")
 
     def test_fine_ring_under_address_space_cap(self, tmp_path, src_env):
         # {1, 2} generates the discrete ring of Z_2000: about 2 million class

@@ -255,6 +255,18 @@ class TestSpectrum:
                 rep = spectrum(CirculantGraph.of(n, s))
                 assert rep.integral == is_rational(generate_sring(n, s)), (n, sorted(s))
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_integral_exactly_when_trace_closed(self, data):
+        # So, *Integral circulant graphs* (2006): the spectrum is integral
+        # exactly when the set is a union of gcd classes.
+        n = data.draw(st.integers(2, 60), label="n")
+        s = data.draw(st.sets(st.integers(1, n - 1), max_size=12), label="s")
+        if data.draw(st.booleans(), label="close"):
+            s = sring.trace(n, s)
+        rep = spectrum(CirculantGraph.of(n, s))
+        assert rep.integral == rep.exact == sring.is_trace_closed(n, s)
+
 
 def per_frequency_eigenvalues(n: int, ds, memo: dict) -> list[int]:
     """The exact eigenvalues as they were computed before: one character sum per j."""

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ratcirc import sring
-from ratcirc.arith import factorize
 from ratcirc import (
     BoundExceededError,
     DivisorLattice,
@@ -80,35 +79,6 @@ def reference_generate_sring(n, s):
     for x in range(n):
         by_label.setdefault(int(labels[x]), []).append(x)
     return SchurRing(n, tuple(sorted((frozenset(v) for v in by_label.values()), key=min)))
-
-
-def reference_local_counts(p, k):
-    """Brute force over Z_{p^k}: (p^v(u), p^v(x - u), p^v(x)) -> count, for x = p^l."""
-    q = p ** k
-
-    def power(x):  # p^v(x), with v(0) = k
-        return math.gcd(x % q, q) or q
-
-    out = {}
-    for l in range(k + 1):
-        x = p ** l % q
-        for u in range(q):
-            key = (power(u), power(x - u), p ** l)
-            out[key] = out.get(key, 0) + 1
-    return out
-
-
-def reference_count_tensor(n):
-    """The dense counts[d, e, f] = #{u in O_d : x - u in O_e}, x in O_f, one bincount per f."""
-    reps = sorted(d % n for d in divisors(n))
-    t = len(reps)
-    points = np.arange(n, dtype=np.int64)
-    node = np.searchsorted(reps, np.gcd(points, n) % n)
-    counts = np.empty((t, t, t), dtype=np.int64)
-    for f, x in enumerate(reps):
-        pairs = node * t + node[(x - points) % n]
-        counts[:, :, f] = np.bincount(pairs, minlength=t * t).reshape(t, t)
-    return counts
 
 
 class TestOrbitSet:
@@ -202,14 +172,27 @@ class TestAgainstReferences:
 class TestOrbitPath:
     def test_orbit_path_matches_point_path_on_every_divisor_subset(self):
         # With M = {1} the point path refines every point on its own.
-        with mock.patch.object(sring, "_multipliers", return_value=[1]):
+        subsets = 0
+        with mock.patch.object(sring, "_multipliers", return_value=[1]), \
+                mock.patch.object(sring, "_lattice_sring", wraps=sring._lattice_sring) as spy:
             for n in range(2, 41):
                 ds = divisors(n)
                 for k in range(len(ds) + 1):
                     for subset in combinations(ds, k):
                         s = orbit_union(n, subset)
                         want = sring._point_sring(n, s)
-                        assert sring._orbit_sring(n, s) == want, (n, subset)
+                        assert generate_sring(n, s) == want, (n, subset)
+                        subsets += 1
+        assert spy.call_count == subsets
+
+    @given(st.sampled_from((360, 720, 1260, 2520, 4096)).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.sampled_from(divisors(n))))))
+    @settings(max_examples=20, deadline=None)
+    def test_lattice_path_matches_point_path_at_larger_moduli(self, case):
+        # Unpatched, the point path refines the tau(n) orbits of M = Z_n^*.
+        n, subset = case
+        s = orbit_union(n, subset)
+        assert generate_sring(n, s) == sring._point_sring(n, s)
 
     @given(st.integers(min_value=2, max_value=60),
            st.lists(st.integers(0, 59), min_size=1, max_size=8))
@@ -220,11 +203,11 @@ class TestOrbitPath:
     def test_non_trace_closed_input_takes_the_point_path(self, n, residues):
         s = frozenset(x % n for x in residues)
         assume(reference_trace(n, s) != s)
-        with mock.patch.object(sring, "_orbit_sring", side_effect=AssertionError("orbit path")):
+        with mock.patch.object(sring, "_lattice_sring", side_effect=AssertionError("lattice")):
             assert generate_sring(n, s) == reference_generate_sring(n, s)
 
     def test_trace_closed_input_stays_small(self):
-        # n = 5040 exceeds the point path's bound: only the orbit path answers it.
+        # n = 5040 exceeds the point path's bound: only the lattice path answers it.
         s = orbit_union(5040, (2, 3, 5, 7, 8, 9))
         tracemalloc.start()
         try:
@@ -358,31 +341,6 @@ class TestUnits:
     def test_matches_gcd_definition(self):
         for n in (*range(1, 2001), 720720):
             assert sring.units(n) == tuple(m for m in range(n) if math.gcd(m, n) == 1), n
-
-
-class TestCountTensor:
-    def test_local_counts_match_brute_force(self):
-        prime_powers = [q for q in range(2, 101) if len(factorize(q)) == 1]
-        assert len(prime_powers) == 35
-        for q in prime_powers:
-            ((p, k),) = factorize(q).items()
-            local = sring._local_counts(p, k)
-            got = {(pi, pj, pl): m for pi, pj, pl, m in local}
-            assert len(got) == len(local), q
-            assert got == reference_local_counts(p, k), q
-
-    @pytest.mark.parametrize("n", (360, 5040))
-    def test_sparse_product_matches_dense_bincount(self, n):
-        nodes = sorted(divisors(n), key=lambda d: d % n)
-        by_target = sring._count_tensor(n, {d: i for i, d in enumerate(nodes)})
-        dense = np.zeros((len(nodes),) * 3, dtype=np.int64)
-        for f, entries in enumerate(by_target):
-            for d, e, c, c_same in entries:
-                assert c > 0 and c_same == (c if d == e else 2 * c)
-                dense[d, e, f] += c
-                if d != e:
-                    dense[e, d, f] += c
-        assert np.array_equal(dense, reference_count_tensor(n))
 
 
 class TestGenerateSRing:
