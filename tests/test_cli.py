@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -185,6 +186,15 @@ class TestAnalyze:
         assert out.count("->") == 10
 
 
+# SHA-256 of the stdout of ``enumerate n --verify --format json``.
+VERIFIED_JSON_SHA256 = {
+    12: "87327d22da4ae481c16d9aef3b2675531d31e4b65b2b879b118dd298a188bf9c",
+    18: "c525e442dfadf5302156edbb336416a3613613648e910ead0135a09b52f010b0",
+    20: "433be20cdee3baec10ad6f23fe3217184c378d3e99fae4d9b24642834fdfe333",
+    36: "c5d4c61b4ba9f5a9b6efa9ff437cfd29642c3f64cc37ed1a8530bdad0e1032ac",
+}
+
+
 class TestEnumerate:
     def test_n12_has_32_records(self, capsys):
         code, out, _ = run(capsys, "enumerate", "12", "--format", "json")
@@ -212,6 +222,16 @@ class TestEnumerate:
             "error: instance too large: n=720 has 30 divisors, so 536870912 divisor "
             "subsets (bound 2048, tau <= 12)\n"
         )
+
+    @pytest.mark.parametrize("n", sorted(VERIFIED_JSON_SHA256))
+    def test_verified_json_bytes_are_pinned(self, n, src_env):
+        # The SHA-256 of stdout, so that a faster oracle or chain keeps every byte.
+        done = subprocess.run(
+            [sys.executable, "-m", "ratcirc.cli", "enumerate", str(n), "--verify", "--format", "json"],
+            env=src_env, capture_output=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert hashlib.sha256(done.stdout).hexdigest() == VERIFIED_JSON_SHA256[n]
 
     def test_oracle_skip_note_above_bound(self, capsys):
         code, out, err = run(

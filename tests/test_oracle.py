@@ -12,10 +12,12 @@ from ratcirc import (
     CirculantGraph,
     DivisorLattice,
     NotRationalError,
+    PermutationGroup,
     brute_force_aut,
     count_rational_circulants,
     divisors,
     full_verify,
+    is_subgroup_of,
     orbit_set,
     orbit_union,
     pipeline_order,
@@ -26,9 +28,10 @@ from ratcirc import (
     sublattices,
     trivial_lattice,
 )
-from ratcirc import InternalConsistencyError, groundtruth, sring
+from ratcirc import InternalConsistencyError, groundtruth, oracle, sring
 from ratcirc.arith import factored_value
-from ratcirc.groundtruth import _class_eigenvalues, _search_automorphism
+from ratcirc.groundtruth import _class_eigenvalues, _place, _search_automorphism
+from ratcirc.lattice import tau
 from ratcirc.pipeline import rational_chain
 
 
@@ -203,6 +206,94 @@ class TestBruteForceAut:
         group = brute_force_aut(CirculantGraph.of(40, set()))
         assert group.order() == math.factorial(40)
         assert len(group.generators) == 39
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_shared_mask_list_places_like_two(self, data):
+        # An undirected graph's in-masks equal its out-masks; passing the
+        # same list twice takes the one-mask path of ``_place``.
+        n = data.draw(st.integers(min_value=2, max_value=30))
+        half = data.draw(st.sets(st.integers(min_value=1, max_value=n - 1)))
+        graph = CirculantGraph.of(n, half | {n - s for s in half})
+        masks = graph.out_masks()
+        assert graph.in_masks() == masks
+        fixed = data.draw(st.integers(min_value=0, max_value=n - 1))
+        img, cand = [-1] * n, [(1 << n) - 1] * n
+        for k in range(fixed):
+            img[k] = k
+            cand = _place(n, masks, list(masks), img, cand, k, k)
+        v = data.draw(st.integers(min_value=fixed, max_value=n - 1))
+        w = data.draw(st.integers(min_value=0, max_value=n - 1))
+        assert _place(n, masks, masks, img, cand, v, w) == _place(
+            n, masks, list(masks), img, cand, v, w
+        )
+
+
+def _complement_graph(graph: CirculantGraph) -> CirculantGraph:
+    return CirculantGraph.of(graph.n, set(range(1, graph.n)) - graph.connection)
+
+
+def _same_group(g: PermutationGroup, h: PermutationGroup) -> bool:
+    return (
+        g.basic_orbit_lengths() == h.basic_orbit_lengths()
+        and is_subgroup_of(g.generators, h)
+        and is_subgroup_of(h.generators, g)
+    )
+
+
+class TestSharedSearch:
+    """``full_verify`` searches once per complementary pair of divisor subsets."""
+
+    @pytest.mark.parametrize("n", [12, 18, 20, 24])
+    def test_complementary_subsets_have_one_group(self, n):
+        proper = [d for d in divisors(n) if d != n]
+        for k in range(len(proper) + 1):
+            for subset in combinations(proper, k):
+                graph = CirculantGraph.of(n, orbit_union(n, subset))
+                complement = tuple(d for d in proper if d not in subset)
+                assert _complement_graph(graph) == CirculantGraph.of(n, orbit_union(n, complement))
+                assert _same_group(brute_force_aut(graph), brute_force_aut(_complement_graph(graph)))
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_complementary_sets_have_one_group(self, data):
+        # Arbitrary sets: directed and non-trace-closed ones included.
+        n = data.draw(st.integers(min_value=2, max_value=12))
+        graph = CirculantGraph.of(n, data.draw(st.sets(st.integers(min_value=1, max_value=n - 1))))
+        assert _same_group(brute_force_aut(graph), brute_force_aut(_complement_graph(graph)))
+
+    @pytest.mark.parametrize("n", [2, 12, 18, 20])
+    def test_one_search_per_complementary_pair(self, n, monkeypatch):
+        searched = []
+        search = oracle.brute_force_aut
+        monkeypatch.setattr(
+            oracle, "brute_force_aut", lambda graph, **kw: searched.append(graph) or search(graph, **kw)
+        )
+        report = full_verify(n)
+        assert len(report.records) == 2 ** (tau(n) - 1)
+        assert len(searched) == 2 ** (tau(n) - 2)
+        assert len({_complement_graph(g) for g in searched} | set(searched)) == len(report.records)
+
+    @pytest.mark.parametrize("n", [2, 6, 12, 18, 20])
+    def test_records_match_a_search_per_subset(self, n):
+        proper = [d for d in divisors(n) if d != n]
+        records = []
+        for k in range(len(proper) + 1):
+            for subset in combinations(proper, k):
+                s = orbit_union(n, subset)
+                lat, poset, order = pipeline_order(n, s)
+                found = brute_force_aut(CirculantGraph.of(n, s)).order_factored()
+                records.append({
+                    "n": n,
+                    "divisors": list(subset),
+                    "lattice": list(lat.elements),
+                    "poset": poset.to_json_dict(),
+                    "order_factored": {str(p): e for p, e in sorted(order.items())},
+                    "oracle_order_factored": {str(p): e for p, e in sorted(found.items())},
+                    "match": found == order,
+                })
+        reference = {"n": n, "count": len(records), "all_match": True, "records": records}
+        assert full_verify(n).to_json_dict() == reference
 
 
 class TestRamanujanSums:
