@@ -16,9 +16,7 @@ reverse order, so the generators of each point stabilizer are known
 before the level above it is searched.  Candidate images are pruned by
 their orbits under that stabilizer, one search per orbit; each base
 point's orbit is closed under all generators found, and there are at
-most log2|G| of them.  An undirected graph, which every rational
-circulant is, prunes through one adjacency mask per vertex; a directed
-one through its out- and in-masks.
+most log2|G| of them.
 """
 from __future__ import annotations
 
@@ -86,25 +84,13 @@ def _place(
     """Candidate bitmasks after mapping v to w, or None when one empties.
 
     Every vertex u unmapped in ``img`` (image -1) other than v keeps the
-    images whose arcs to and from w match its arcs to and from v.  When
-    ``in_m`` is ``out_m`` (an undirected graph, whose arcs to and from a
-    vertex coincide) one mask per vertex says both.
+    images whose arcs to and from w match its arcs to and from v.
     """
     full = (1 << n) - 1
     new = cand[:]
-    out_v, out_w = out_m[v], out_m[w]
-    not_out_w = ~out_w & full
-    if in_m is out_m:
-        for u in range(n):
-            if img[u] >= 0 or u == v:
-                continue
-            m = new[u] & (out_w if out_v >> u & 1 else not_out_w)
-            if not m:
-                return None
-            new[u] = m
-        return new
-    in_v, in_w = in_m[v], in_m[w]
-    not_in_w = ~in_w & full
+    out_v, in_v = out_m[v], in_m[v]
+    out_w, in_w = out_m[w], in_m[w]
+    not_out_w, not_in_w = ~out_w & full, ~in_w & full
     for u in range(n):
         if img[u] >= 0 or u == v:
             continue
@@ -209,18 +195,13 @@ def brute_force_aut(
     The prefix states, the candidate sets after fixing 0..k-1, are built
     once per graph for k = 0..n-1 (n-1 placements), and every search at
     level i starts from state i: it places i -> y and nothing before it.
-    An undirected graph passes its out-masks as its in-masks too, so that
-    ``_place`` applies one mask per vertex.
     """
     n = graph.n
     if n > max_n:
         raise BoundExceededError(
             f"brute-force search refused for n={n} (bound {max_n})"
         )
-    # Every trace-closed set is closed under negation: every rational
-    # circulant takes the one-mask path.
-    out_m = graph.out_masks()
-    in_m = out_m if graph.is_undirected else graph.in_masks()
+    out_m, in_m = graph.out_masks(), graph.in_masks()
     # prefix[k]: the candidate bitmasks once 0..k-1 are fixed.  Translations
     # are automorphisms, so before anything is fixed every vertex may go
     # anywhere; the identity is one too, so fixing a point never empties a

@@ -12,7 +12,7 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations
+from itertools import combinations
 
 from ._record import frozen
 from .arith import factorize
@@ -75,8 +75,7 @@ class DivisorLattice:
             raise ValueError("the modulus must be an element of its lattice")
         present = set(els)
         for x, y in combinations(els, 2):
-            g = math.gcd(x, y)
-            if g not in present or x // g * y not in present:
+            if math.gcd(x, y) not in present or (x * y) // math.gcd(x, y) not in present:
                 raise ValueError(f"{els} is not closed under gcd/lcm (witness {x},{y})")
 
     @classmethod
@@ -164,33 +163,24 @@ def full_lattice(n: int) -> DivisorLattice:
 
 
 def lattice_closure(n: int, seed) -> DivisorLattice:
-    """Smallest gcd/lcm-closed superset of seed together with 1 and n.
-
-    Semi-naive: the first round takes the gcd and lcm of every unordered
-    pair, and each later round pairs only the elements the round before
-    added with everything found so far, since the other pairs were taken.
-    """
+    """Smallest gcd/lcm-closed superset of seed together with 1 and n."""
     seed = set(seed)
     for x in seed:
         if x < 1 or n % x != 0:
             raise ValueError(f"seed element {x} does not divide {n}")
     closed = seed | {1, n}
-    old: list[int] = []
-    new = list(closed)
-    while new:
+    while True:
         fresh = set()
-        for i, x in enumerate(new):
-            for y in chain(old, new[i + 1 :]):
-                g = math.gcd(x, y)
-                if g not in closed:
-                    fresh.add(g)
-                l = x // g * y
-                if l not in closed:
-                    fresh.add(l)
-        old += new
+        for x, y in combinations(sorted(closed), 2):
+            g = math.gcd(x, y)
+            l = (x * y) // g
+            if g not in closed:
+                fresh.add(g)
+            if l not in closed:
+                fresh.add(l)
+        if not fresh:
+            return DivisorLattice.of(n, closed)
         closed |= fresh
-        new = list(fresh)
-    return DivisorLattice.of(n, closed)
 
 
 def sublattices(n: int, max_tau: int = DEFAULT_MAX_TAU) -> list[DivisorLattice]:

@@ -17,16 +17,11 @@ from .errors import BoundExceededError
 DEFAULT_MAX_TWO_ORBIT_DEGREE = 200
 
 
-def _getter(a: tuple[int, ...]):
-    """The map b -> a followed by b, x -> b[a[x]], built once for many b."""
-    if len(a) < 2:  # itemgetter of one index returns a bare item
-        return lambda b: tuple(b[x] for x in a)
-    return itemgetter(*a)
-
-
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Image tuple of a followed by b: x -> b[a[x]]."""
-    return _getter(a)(b)
+    if len(a) < 2:  # itemgetter of one index returns a bare item
+        return tuple(b[x] for x in a)
+    return itemgetter(*a)(b)
 
 
 def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -135,8 +130,7 @@ class _Level:
     ``inverse[p]`` is the image tuple of u_p^-1, where the coset
     representative u_p maps the base point ``point`` to p.  The orbit only
     grows, in discovery order (``points``), and a representative never
-    changes once set.  ``gens`` holds the level's strong generators as
-    ``_strong`` triples.  ``paired[k]`` counts the level generators whose
+    changes once set.  ``paired[k]`` counts the level generators whose
     Schreier generator with ``points[k]`` has been sifted; no position
     before ``pending`` has an unsifted pair.  ``tree`` holds the pairs
     (k, j) whose generator ``gens[j]`` first reached a point from
@@ -147,43 +141,36 @@ class _Level:
 
     def __init__(self, point: int, identity: tuple[int, ...]) -> None:
         self.point = point
-        self.gens: list[tuple] = []
+        self.gens: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self.inverse = {point: identity}
         self.points = [point]
         self.paired = [0]
         self.pending = 0
         self.tree: set[tuple[int, int]] = set()
 
-    def add_generator(self, gen: tuple) -> None:
-        """Append a ``_strong`` triple and extend the orbit in place to stay closed.
-
-        Only the new generator is applied to the old points, and every
-        generator to each new point in turn: the orbit grows breadth-first.
-        """
-        gens, inverse, points, paired, tree = (
-            self.gens, self.inverse, self.points, self.paired, self.tree
-        )
-        gens.append(gen)
+    def add_generator(self, g: tuple[int, ...], g_inv: tuple[int, ...]) -> None:
+        """Append g and extend the orbit in place to stay closed."""
+        self.gens.append((g, g_inv))
         self.pending = 0
-        old, last = len(points), len(gens) - 1
-        k = 0
-        while k < len(points):
+        inverse, points, paired, tree = self.inverse, self.points, self.paired, self.tree
+
+        def reach(k: int, j: int, s: tuple[int, ...], s_inv: tuple[int, ...]) -> None:
             p = points[k]
-            u_inv = inverse[p]
-            for j in range(last if k < old else 0, len(gens)):
-                s, _, s_inv_then = gens[j]
-                q = s[p]
-                if q not in inverse:
-                    inverse[q] = s_inv_then(u_inv)  # (u_p s)^-1
-                    points.append(q)
-                    paired.append(0)
-                    tree.add((k, j))
+            q = s[p]
+            if q not in inverse:
+                inverse[q] = _compose(s_inv, inverse[p])  # (u_p s)^-1
+                points.append(q)
+                paired.append(0)
+                tree.add((k, j))
+
+        old, last = len(points), len(self.gens) - 1
+        for k in range(old):
+            reach(k, last, g, g_inv)
+        k = old
+        while k < len(points):
+            for j, (s, s_inv) in enumerate(self.gens):
+                reach(k, j, s, s_inv)
             k += 1
-
-
-def _strong(g: tuple[int, ...]) -> tuple:
-    """A strong generator as (g, b -> g*b, b -> g^-1*b), the maps built once."""
-    return g, _getter(g), _getter(_invert(g))
 
 
 # Deterministic incremental Schreier-Sims (Seress, Permutation Group
@@ -193,10 +180,7 @@ def _strong(g: tuple[int, ...]) -> tuple:
 # revisited for the pairs that a new generator or orbit point added.  A
 # pair (p, s) of the Schreier tree, where s first reached s(p) from p, set
 # u_s(p) = u_p s: its Schreier generator is the identity, so it is skipped
-# before it is formed.  Every other one is formed as u_p * (s * u_s(p)^-1)
-# by two itemgetter calls: the getter of s is built once per strong
-# generator (``_strong``), that of u_p once per orbit point, and neither
-# per pair.
+# before it is formed.
 #
 # Level i is sifted only while levels i+1.. are complete: _schreier_sims
 # walks back down through every level a new strong generator joined before
@@ -234,18 +218,18 @@ def _sift_level(levels: list[_Level], i: int, identity: tuple[int, ...]) -> int 
     gens, inverse, points, paired, tree = lv.gens, lv.inverse, lv.points, lv.paired, lv.tree
     known = {identity}
     if i + 1 < len(levels):
-        known.update(gen[0] for gen in levels[i + 1].gens)
+        known.update(g for g, _ in levels[i + 1].gens)
     for k in range(lv.pending, len(points)):
         if paired[k] == len(gens):
             continue
         p = points[k]
-        u_then = _getter(_invert(inverse[p]))
+        u = _invert(inverse[p])
         for j in range(paired[k], len(gens)):
             paired[k] = j + 1
             if (k, j) in tree:  # u_p s = u_s(p)
                 continue
-            s, s_then, _ = gens[j]
-            schreier = u_then(s_then(inverse[s[p]]))
+            s = gens[j][0]
+            schreier = _compose(_compose(u, s), inverse[s[p]])
             if schreier in known:
                 continue
             h, depth = _strip(levels, schreier, i + 1)
@@ -255,9 +239,9 @@ def _sift_level(levels: list[_Level], i: int, identity: tuple[int, ...]) -> int 
             lv.pending = k
             if depth == len(levels):
                 levels.append(_Level(_first_moved(h), identity))
-            gen = _strong(h)
+            h_inv = _invert(h)
             for level in levels[i + 1 : depth + 1]:
-                level.add_generator(gen)
+                level.add_generator(h, h_inv)
             return depth
     lv.pending = len(points)
     return None
@@ -267,14 +251,13 @@ def _schreier_sims(degree: int, generators) -> list[_Level]:
     """Complete stabilizer chain of the group the non-identity generators span."""
     identity = tuple(range(degree))
     levels: list[_Level] = []
-    strong = [_strong(g.image) for g in generators]
-    for g, *_ in strong:
+    strong = [(g.image, _invert(g.image)) for g in generators]
+    for g, _ in strong:
         if all(g[lv.point] == lv.point for lv in levels):
             levels.append(_Level(_first_moved(g), identity))
-    for gen in strong:
-        g = gen[0]
+    for g, g_inv in strong:
         for lv in levels:
-            lv.add_generator(gen)
+            lv.add_generator(g, g_inv)
             if g[lv.point] != lv.point:
                 break
 

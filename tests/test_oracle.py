@@ -30,7 +30,7 @@ from ratcirc import (
 )
 from ratcirc import InternalConsistencyError, groundtruth, oracle, sring
 from ratcirc.arith import factored_value
-from ratcirc.groundtruth import _class_eigenvalues, _place, _search_automorphism
+from ratcirc.groundtruth import _class_eigenvalues, _search_automorphism
 from ratcirc.lattice import tau
 from ratcirc.pipeline import rational_chain
 
@@ -206,27 +206,6 @@ class TestBruteForceAut:
         group = brute_force_aut(CirculantGraph.of(40, set()))
         assert group.order() == math.factorial(40)
         assert len(group.generators) == 39
-
-    @given(st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_one_shared_mask_list_places_like_two(self, data):
-        # An undirected graph's in-masks equal its out-masks; passing the
-        # same list twice takes the one-mask path of ``_place``.
-        n = data.draw(st.integers(min_value=2, max_value=30))
-        half = data.draw(st.sets(st.integers(min_value=1, max_value=n - 1)))
-        graph = CirculantGraph.of(n, half | {n - s for s in half})
-        masks = graph.out_masks()
-        assert graph.in_masks() == masks
-        fixed = data.draw(st.integers(min_value=0, max_value=n - 1))
-        img, cand = [-1] * n, [(1 << n) - 1] * n
-        for k in range(fixed):
-            img[k] = k
-            cand = _place(n, masks, list(masks), img, cand, k, k)
-        v = data.draw(st.integers(min_value=fixed, max_value=n - 1))
-        w = data.draw(st.integers(min_value=0, max_value=n - 1))
-        assert _place(n, masks, masks, img, cand, v, w) == _place(
-            n, masks, list(masks), img, cand, v, w
-        )
 
 
 def _complement_graph(graph: CirculantGraph) -> CirculantGraph:

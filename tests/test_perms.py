@@ -1,4 +1,4 @@
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,105 +14,8 @@ from ratcirc import (
     sublattices,
     transport,
 )
-from ratcirc import CirculantGraph, brute_force_aut, divisors, orbit_union
 from ratcirc.arith import factored_value
-from ratcirc.perms import _compose, _first_moved, _invert, _strip
-
-
-class ReferenceLevel:
-    """A chain level that extends its orbit through one ``reach`` call per pair."""
-
-    def __init__(self, point, identity):
-        self.point = point
-        self.gens = []
-        self.inverse = {point: identity}
-        self.points = [point]
-        self.paired = [0]
-        self.pending = 0
-        self.tree = set()
-
-    def add_generator(self, g, g_inv):
-        self.gens.append((g, g_inv))
-        self.pending = 0
-        inverse, points, paired, tree = self.inverse, self.points, self.paired, self.tree
-
-        def reach(k, j, s, s_inv):
-            p = points[k]
-            q = s[p]
-            if q not in inverse:
-                inverse[q] = _compose(s_inv, inverse[p])
-                points.append(q)
-                paired.append(0)
-                tree.add((k, j))
-
-        old, last = len(points), len(self.gens) - 1
-        for k in range(old):
-            reach(k, last, g, g_inv)
-        k = old
-        while k < len(points):
-            for j, (s, s_inv) in enumerate(self.gens):
-                reach(k, j, s, s_inv)
-            k += 1
-
-
-def reference_sift_level(levels, i, identity):
-    """Sift level i, forming each Schreier generator by two ``_compose`` calls."""
-    lv = levels[i]
-    gens, inverse, points, paired, tree = lv.gens, lv.inverse, lv.points, lv.paired, lv.tree
-    known = {identity}
-    if i + 1 < len(levels):
-        known.update(g for g, _ in levels[i + 1].gens)
-    for k in range(lv.pending, len(points)):
-        if paired[k] == len(gens):
-            continue
-        p = points[k]
-        u = _invert(inverse[p])
-        for j in range(paired[k], len(gens)):
-            paired[k] = j + 1
-            if (k, j) in tree:
-                continue
-            s = gens[j][0]
-            schreier = _compose(_compose(u, s), inverse[s[p]])
-            if schreier in known:
-                continue
-            h, depth = _strip(levels, schreier, i + 1)
-            if h == identity:
-                known.add(schreier)
-                continue
-            lv.pending = k
-            if depth == len(levels):
-                levels.append(ReferenceLevel(_first_moved(h), identity))
-            h_inv = _invert(h)
-            for level in levels[i + 1 : depth + 1]:
-                level.add_generator(h, h_inv)
-            return depth
-    lv.pending = len(points)
-    return None
-
-
-def reference_chain(degree, generators):
-    """Base point, orbit in discovery order and strong generators of each level."""
-    identity = tuple(range(degree))
-    levels = []
-    strong = [(g.image, _invert(g.image)) for g in generators if not g.is_identity()]
-    for g, _ in strong:
-        if all(g[lv.point] == lv.point for lv in levels):
-            levels.append(ReferenceLevel(_first_moved(g), identity))
-    for g, g_inv in strong:
-        for lv in levels:
-            lv.add_generator(g, g_inv)
-            if g[lv.point] != lv.point:
-                break
-    i = len(levels) - 1
-    while i >= 0:
-        grown = reference_sift_level(levels, i, identity)
-        i = i - 1 if grown is None else grown
-    return [(lv.point, lv.points, [g for g, _ in lv.gens]) for lv in levels]
-
-
-def chain_of(group):
-    group.order()
-    return [(lv.point, lv.points, [gen[0] for gen in lv.gens]) for lv in group._levels]
+from ratcirc.perms import _compose, _invert
 
 
 class TestPerm:
@@ -301,29 +204,6 @@ class TestGroupOrder:
                 s = lv.gens[j][0]
                 u = _invert(lv.inverse[lv.points[k]])
                 assert _compose(_compose(u, s), lv.inverse[s[lv.points[k]]]) == identity
-
-
-class TestChainMatchesReference:
-    """The chain is the one the per-pair ``reach`` and ``_compose`` code built."""
-
-    def test_every_oracle_group_up_to_30(self):
-        for n in range(2, 31):
-            proper = [d for d in divisors(n) if d != n]
-            for k in range(len(proper) + 1):
-                for subset in combinations(proper, k):
-                    group = brute_force_aut(CirculantGraph.of(n, orbit_union(n, subset)))
-                    assert chain_of(group) == reference_chain(n, group.generators), (n, subset)
-
-    @given(st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_random_generating_sets(self, data):
-        n = data.draw(st.integers(min_value=2, max_value=12))
-        gens = [
-            Perm(data.draw(st.permutations(list(range(n)))))
-            for _ in range(data.draw(st.integers(0, 4)))
-        ]
-        group = PermutationGroup(n, gens)
-        assert chain_of(group) == reference_chain(n, gens)
 
 
 class TestMembership:
