@@ -39,7 +39,7 @@ def main(argv=None) -> int:
     for n in range(args.lo, args.hi + 1):
         t_n = time.perf_counter()
         try:
-            rep = full_verify(n, max_oracle_n=args.max_oracle_n)
+            rep = full_verify(n, use_oracle=n <= args.max_oracle_n)
         except BoundExceededError as e:
             print(f"n={n:3d}: skipped, {e}")
             continue

@@ -261,7 +261,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             f"note: oracle skipped, n={n} exceeds bound {args.max_oracle_n}",
             file=sys.stderr,
         )
-    report = oracle.full_verify(n, max_oracle_n=args.max_oracle_n, use_oracle=use_oracle)
+    report = oracle.full_verify(n, use_oracle=use_oracle)
     if args.format == "json":
         sys.stdout.write(_dump_json(report.to_json_dict()))
     else:

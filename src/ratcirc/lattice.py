@@ -121,13 +121,16 @@ class DivisorLattice:
         current interval minus its top, and s, the least member that does
         not divide m, then continues on the interval below m.  A unital
         lattice ends with the step (top, 1, top) on the interval {1, top}.
+        That m is the interval's second-largest member: a member above it
+        would be at least twice it, so only the top.  Each interval is the
+        tuple of members dividing its m.
         """
-        steps, lat = [], self
-        while len(lat) > 1:
-            m = max(lat.maximal_elements())
-            s = next(x for x in lat.elements if m % x)
-            steps.append((lat.modulus, m, s))
-            lat = lat.below(m)
+        steps, els = [], self.elements
+        while len(els) > 1:
+            m = els[-2]
+            s = next(x for x in els if m % x)
+            steps.append((els[-1], m, s))
+            els = tuple(x for x in els if m % x == 0)
         return steps
 
     def covers(self) -> list[tuple[int, int]]:

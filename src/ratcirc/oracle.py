@@ -119,15 +119,11 @@ def pipeline_order(
     return lat, poset, gwp_order(poset)
 
 
-def full_verify(
-    n: int,
-    max_oracle_n: int = DEFAULT_MAX_ORACLE_N,
-    use_oracle: bool | None = None,
-) -> VerifyReport:
+def full_verify(n: int, use_oracle: bool | None = None) -> VerifyReport:
     """Run the pipeline over every divisor subset, comparing with brute force.
 
-    Oracle comparison is skipped (match None) when n exceeds the brute
-    force bound, unless explicitly forced.  The 2^(tau(n) - 1) subsets are
+    Oracle comparison is skipped (match None) unless ``use_oracle``; None
+    means n <= ``DEFAULT_MAX_ORACLE_N``.  The 2^(tau(n) - 1) subsets are
     bounded like ``sublattices``: tau(n) <= ``DEFAULT_MAX_TAU``, checked
     before the first subset.
 
@@ -147,7 +143,7 @@ def full_verify(
             f"subsets (bound {2 ** (DEFAULT_MAX_TAU - 1)}, tau <= {DEFAULT_MAX_TAU})"
         )
     if use_oracle is None:
-        use_oracle = n <= max_oracle_n
+        use_oracle = n <= DEFAULT_MAX_ORACLE_N
     proper = [d for d in divisors(n) if d != n]
     records = []
     complement_orders: dict[tuple[int, ...], dict[int, int]] = {}
@@ -161,9 +157,7 @@ def full_verify(
                 oracle_order = complement_orders.pop(subset, None)
                 if oracle_order is None:
                     graph = CirculantGraph.of(n, connection)
-                    oracle_order = brute_force_aut(
-                        graph, max_n=max(n, max_oracle_n)
-                    ).order_factored()
+                    oracle_order = brute_force_aut(graph, max_n=n).order_factored()
                     complement = tuple(d for d in proper if d not in subset)
                     complement_orders[complement] = oracle_order
                 match = oracle_order == order

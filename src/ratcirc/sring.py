@@ -13,11 +13,10 @@ multipliers M = {m in Z_n^* : mS = S}, which fix every class (Schur's
 theorem on multipliers): the row of an orbit's least element x lists,
 sorted, the codes of the class pairs (class(u), class(x - u)) over all u in
 Z_n, and classes are split by their rows until nothing moves.  That path
-refuses n > ``MAX_POINT_N`` up front.  Up to ``MAX_PYTHON_PAIRS``
-orbit-point pairs a round its rows are pure Python, which costs less than
-importing numpy; above it numpy sorts them as one matrix, 4-10x faster on
-fine rings with n >= 1000.  No such subset generates a rational ring: it is
-a union of classes, and the classes of a rational ring are trace-closed.
+refuses n > ``MAX_POINT_N`` up front, and more than ``MAX_POINT_PAIRS``
+orbit-point pairs a round before it builds any row; its rows are pure
+Python.  No such subset generates a rational ring: it is a union of
+classes, and the classes of a rational ring are trace-closed.
 
 A trace-closed S, the union of the O_d over d in D, is read off a lattice
 instead.  Its ring <S> is rational: a unit multiplier fixes S, and the
@@ -47,11 +46,8 @@ from .lattice import DivisorLattice, divisors, lattice_closure
 
 # Largest modulus refined point by point: a round may sort an n x n code matrix.
 MAX_POINT_N = 4096
-# Largest (orbits) * n pairs a round whose rows ``_point_sring`` builds in
-# pure Python; above it numpy builds them.
-MAX_PYTHON_PAIRS = 1 << 17
-# Rows of the numpy path that ``_number_rows`` copies at once to compare neighbours.
-_NUMBER_BLOCK_BYTES = 1 << 18
+# Largest (multiplier orbits) * n pairs of a round of ``_point_sring``.
+MAX_POINT_PAIRS = 1 << 17
 
 
 def orbit_union(n: int, ds) -> frozenset[int]:
@@ -192,7 +188,8 @@ def generate_sring(n: int, s) -> SchurRing:
     A trace-closed s gives the ring of the least lattice that splits it
     (``_lattice_sring``).  Any other s is refined by exact convolution
     fingerprints on the orbits of its multipliers (``_point_sring``), which
-    raises ``BoundExceededError`` for n > ``MAX_POINT_N``.
+    raises ``BoundExceededError`` for n > ``MAX_POINT_N`` or more than
+    ``MAX_POINT_PAIRS`` orbit-point pairs a round.
     """
     if n < 1:
         raise ValueError("modulus must be positive")
@@ -237,56 +234,31 @@ def _owners(n: int, members: tuple[int, ...], ds: list[int]) -> list[int]:
     return [next(l for l in members if l % (n // d) == 0) for d in ds]
 
 
-def _initial_labels(n: int, s: frozenset[int], points) -> tuple[list[int], int]:
-    """Number the keys (x == 0, x in s, -x in s) of ``points`` in order of first appearance.
-
-    Returns the labels and the number of distinct keys.
-    """
-    key_to_label: dict[tuple[bool, bool, bool], int] = {}
-    labels = [key_to_label.setdefault((x == 0, x in s, (-x) % n in s), len(key_to_label))
-              for x in points]
-    return labels, len(key_to_label)
-
-
-def _refine(labels, k: int, split):
-    """Split the k classes of ``labels`` by fingerprint rows until none splits.
-
-    ``split(labels, k)`` numbers the nodes' rows and returns the new labels
-    and their count.  A node's row is its label, then the sorted ordered
-    pair codes a * k + b of all ways x = u + (x - u).  The class of -x
-    needs no column: negation maps {0}, s and -s onto {0}, -s and s, so it
-    permutes the initial classes, and a round that starts with classes
-    negation permutes ends with such classes.  The class of -x is thus a
-    function of the class of x.
-    """
-    while True:
-        new_labels, new_k = split(labels, k)
-        if new_k == k:
-            return labels
-        labels, k = new_labels, new_k
-
-
 def _point_sring(n: int, s: frozenset[int]) -> SchurRing:
     """``generate_sring`` refined on the orbits of the multipliers of s.
 
-    s must be reduced mod n, with n >= 2; n <= ``MAX_POINT_N`` is checked
-    before anything is computed.  A unit m with mS = S is an automorphism of
-    (Z_n, +) fixing {0}, s and -s, so x and mx get equal rows at every round:
-    every class is a union of orbits of M = {m : mS = S} (Schur's theorem on
-    multipliers, Wielandt, *Finite Permutation Groups*, ch. IV).  Only the
-    least element of each orbit gets a row, and only in a class of two or
-    more orbits; a class that is one orbit keeps its label.  Refinement
-    stops when nothing splits or every class is one orbit.
+    s must be reduced mod n, with n >= 2.  A unit m with mS = S is an
+    automorphism of (Z_n, +) fixing {0}, s and -s, so x and mx get equal
+    rows at every round: every class is a union of orbits of
+    M = {m : mS = S} (Schur's theorem on multipliers, Wielandt, *Finite
+    Permutation Groups*, ch. IV).  Only the least element of each orbit gets
+    a row, and only in a class of two or more orbits; a class that is one
+    orbit keeps its label.  Refinement stops when nothing splits or every
+    class is one orbit.
 
-    A row is the label of x, then the sorted codes a * k + b of the labels
-    a of u and b of x - u over all u in Z_n.  The ordered pair (A, B) occurs
-    c_AB(x) times there, and c_AB(x) = c_BA(x), so these rows split the
-    points exactly as the per-pair counts do.  A round costs (orbits) * n
-    pairs.  Up to ``MAX_PYTHON_PAIRS`` the rows are sorted tuples
-    (``_python_rows``): the whole refinement then costs less
-    than importing numpy.  Above it numpy sorts them as one matrix
-    (``_numpy_rows``), 4-10x faster on fine rings with n >= 1000; the
-    crossover is near 2^18 pairs.
+    The initial classes are the keys (x == 0, x in s, -x in s).  A row is
+    the label of x, then the sorted codes a * k + b of the labels a of u and
+    b of x - u over all u in Z_n.  The ordered pair (A, B) occurs c_AB(x)
+    times there, and c_AB(x) = c_BA(x), so these rows split the points
+    exactly as the per-pair counts do.  The class of -x needs no column:
+    negation maps {0}, s and -s onto {0}, -s and s, so it permutes the
+    initial classes, and a round that starts with classes negation permutes
+    ends with such classes.  The class of -x is thus a function of the
+    class of x.
+
+    A round costs (orbits) * n pairs.  n <= ``MAX_POINT_N`` is checked
+    before anything is computed, and (orbits) * n <= ``MAX_POINT_PAIRS``
+    before any row is built.
     """
     if n > MAX_POINT_N:
         raise BoundExceededError(
@@ -301,21 +273,24 @@ def _point_sring(n: int, s: frozenset[int]) -> SchurRing:
             for m in mult:
                 orbit[m * x % n] = len(reps)
             reps.append(x)
-    rows = _python_rows if len(reps) * n <= MAX_PYTHON_PAIRS else _numpy_rows
-
-    def split(labels: list[int], k: int) -> tuple[list[int], int]:
-        if k == len(reps):  # every class is one orbit: nothing left to split
-            return labels, k
+    if len(reps) * n > MAX_POINT_PAIRS:
+        raise BoundExceededError(
+            f"instance too large: n={n} has {len(reps)} multiplier orbits, so "
+            f"{len(reps) * n} orbit-point pairs per round (bound {MAX_POINT_PAIRS})"
+        )
+    number: dict = {}
+    labels = [number.setdefault((x == 0, x in s, (-x) % n in s), len(number)) for x in reps]
+    old_k, k = 0, len(number)
+    while old_k < k < len(reps):
         size = [0] * k
         for a in labels:
             size[a] += 1
         busy = [i for i, a in enumerate(labels) if size[a] > 1]
-        ids = dict(zip(busy, rows([labels[o] for o in orbit], k, [reps[i] for i in busy])))
-        number: dict = {}
-        new = [number.setdefault((a, ids.get(i)), len(number)) for i, a in enumerate(labels)]
-        return new, len(number)
-
-    labels = _refine(*_initial_labels(n, s, reps), split)
+        ids = dict(zip(busy, _rows([labels[o] for o in orbit], k, [reps[i] for i in busy])))
+        number = {}
+        labels = [number.setdefault((a, ids.get(i)), len(number)) for i, a in enumerate(labels)]
+        old_k, k = k, len(number)
+        del ids, number  # this round's rows go before the next round builds its own
     classes = _groups(range(n), [labels[o] for o in orbit])
     return SchurRing(n, tuple(frozenset(xs) for xs in classes))
 
@@ -339,27 +314,12 @@ def _multipliers(n: int, s: frozenset[int]) -> list[int]:
     return group
 
 
-def _python_rows(lab: list[int], k: int, xs: list[int]) -> list[tuple[int, ...]]:
+def _rows(lab: list[int], k: int, xs: list[int]) -> list[tuple[int, ...]]:
     """The rows of the points xs, less their own label, for point labels ``lab``."""
     n = len(lab)
     lk = [a * k for a in lab]
     lab2 = lab + lab  # lab2[x + n - u] = lab[x - u]
     return [tuple(sorted(map(add, lk, lab2[x + n:x:-1]))) for x in xs]
-
-
-def _numpy_rows(lab: list[int], k: int, xs: list[int]) -> list[int]:
-    """``_python_rows`` as one numpy matrix, its rows numbered by ``_number_rows``."""
-    import numpy as np
-
-    n = len(lab)
-    lab = np.array(lab, dtype=np.int32)
-    lab2 = np.concatenate((lab, lab))
-    rows = np.empty((len(xs), n), dtype=np.int32)
-    for row, x in zip(rows, xs):
-        row[:] = lab2[x + n:x:-1]
-    rows += lab * k  # a * k + b < k * k <= 2^24
-    rows.sort(axis=1)
-    return _number_rows(rows).tolist()
 
 
 def _orbit_ring(n: int, reps: list[int], labels: list[int]) -> SchurRing:
@@ -379,29 +339,6 @@ def _groups(nodes, labels: list[int]) -> list[list[int]]:
     for x, label in zip(nodes, labels):
         by_label.setdefault(label, []).append(x)
     return sorted(by_label.values(), key=min)
-
-
-def _number_rows(rows: np.ndarray) -> np.ndarray:
-    """Number the distinct rows of a C-contiguous matrix.
-
-    Reads each row as one byte string, sorts those strings, then starts a
-    new number wherever one differs from the one before it; equal rows get
-    equal numbers.  Neighbours in sorted order are compared a block of
-    ``_NUMBER_BLOCK_BYTES`` at a time, so no sorted copy of the matrix is
-    made.
-    """
-    import numpy as np
-
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    order = keys.argsort()
-    changed = np.zeros(len(order), dtype=bool)
-    block = max(1, _NUMBER_BLOCK_BYTES // keys.itemsize)
-    for start in range(1, len(order), block):
-        ranked = keys[order[start - 1:start + block]]
-        changed[start:start + block] = ranked[1:] != ranked[:-1]
-    labels = np.empty(len(order), dtype=np.int64)
-    labels[order] = np.cumsum(changed)
-    return labels
 
 
 def is_rational(ring: SchurRing) -> bool:

@@ -439,14 +439,16 @@ class TestNumpyFree:
                 "analyze 36 --divisors 2,3,4,6 --oracle",
                 # Rejected by a pure-Python point-level refinement.
                 "analyze 120 --set 1,2,3", "analyze 240 --set 1,2",
+                # Past the point path's pair bound: refused before any row.
+                "analyze 1000 --set 1,2", "analyze 4096 --set 1,2",
                 # The DFT still builds n-sized vectors with numpy: it runs last.
                 "analyze 12 --divisors 2 --spectrum"]
         done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], env=src_env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        large, verify, generators, oracle, reject, reject_240, spec = json.loads(done.stdout)
+        large, verify, generators, oracle, *rejects, spec = json.loads(done.stdout)
 
-        assert not any(r["numpy"] for r in (large, verify, generators, oracle, reject, reject_240))
+        assert not any(r["numpy"] for r in (large, verify, generators, oracle, *rejects))
         assert (large["code"], json.loads(large["out"])["rank"]) == (0, 41)
         assert verify["code"] == 0
         assert verify["out"].endswith("32 rational circulants on Z_12\n")
@@ -474,10 +476,38 @@ class TestNumpyFree:
             "spectrum: integral=True values [2,2,1,1,1,1,-1,-1,-1,-1,-2,-2]\n"
         )
 
-        for n, r in ((120, reject), (240, reject_240)):
+        for n, r in zip((120, 240, 1000, 4096), rejects, strict=True):
             units = ",".join(map(str, sring.units(n)))
             assert (r["code"], r["out"]) == (2, "")
             assert r["err"] == f"error: not rational: trace of {{1}} is {{{units}}}\n"
+
+
+# SHA-256 of exit code, stdout and stderr of requests on either side of the
+# point path's bounds, recorded while numpy still refined the sets past 2^17 pairs.
+POINT_PATH_SHA256 = {
+    "analyze 362 --set 1,2":
+        "b0495195ff161a913795fc9e6abecd5dad0f08eb7ab24a90952910dd1b1fd97f",
+    "analyze 363 --set 1,2":
+        "8a1e3401cc967caa10b38e6c5267a63a35f25d7f59f5a61f5b943b741ba1f4b2",
+    "analyze 1000 --set 1,2":
+        "59e7661931ad8382dd43aa3c6a9b7282fa69af656729920326403c64ed83cb38",
+    "analyze 4096 --set 1,2":
+        "7fcd992255608a23656166d51ef6a4ed29d571a7a6bdab4ffd2a92eee646db8c",
+    "analyze 4096 --set 1,4095":
+        "7fcd992255608a23656166d51ef6a4ed29d571a7a6bdab4ffd2a92eee646db8c",
+    "analyze 2048 --set 1,2,4":
+        "3f71189c4d3f20569f914430f9ff532834c2eda8ca41b533e2dbb8160799ccd2",
+    "export-dot 1024 --set 1,2 --poset":
+        "5f5339d7280a64b19eff578db0ea1eee86aa4f89df2e7259d07f63369dc604da",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(POINT_PATH_SHA256))
+def test_point_path_output_bytes_are_pinned(argv, src_env):
+    done = subprocess.run([sys.executable, "-m", "ratcirc.cli", *argv.split()],
+                          env=src_env, capture_output=True, timeout=120)
+    digest = hashlib.sha256(b"%d\0%s\0%s" % (done.returncode, done.stdout, done.stderr))
+    assert digest.hexdigest() == POINT_PATH_SHA256[argv]
 
 
 MODULE_PROBE = """

@@ -15,6 +15,7 @@ BOUNDS = {
     "oracle.DEFAULT_MAX_ORACLE_N": oracle.DEFAULT_MAX_ORACLE_N,
     "gwp.DEFAULT_MAX_DEGREE": gwp.DEFAULT_MAX_DEGREE,
     "sring.MAX_POINT_N": sring.MAX_POINT_N,
+    "sring.MAX_POINT_PAIRS": sring.MAX_POINT_PAIRS,
 }
 
 
@@ -55,7 +56,7 @@ def resolve(name: str):
 
 def test_readme_names_resolve():
     names = readme_names()
-    assert {"sring.MAX_PYTHON_PAIRS", "ratcirc.pipeline_order", "ratcirc._record.frozen"} <= names
+    assert {"sring.MAX_POINT_PAIRS", "ratcirc.pipeline_order", "ratcirc._record.frozen"} <= names
     unresolved = []
     for name in sorted(names):
         try:

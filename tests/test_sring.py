@@ -243,8 +243,6 @@ class TestPointPath:
         n, s = case
         want = reference_generate_sring(n, s)
         assert generate_sring(n, s) == want
-        with mock.patch.object(sring, "MAX_PYTHON_PAIRS", 0):
-            assert generate_sring(n, s) == want
 
     @given(point_path_sets())
     @settings(max_examples=100, deadline=None)
@@ -264,29 +262,22 @@ class TestPointPath:
         lab = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n), label="lab")
         xs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True), label="xs")
         want = [tuple(sorted(lab[u] * k + lab[(x - u) % n] for u in range(n))) for x in xs]
-        assert sring._python_rows(lab, k, xs) == want
-        ids = sring._numpy_rows(lab, k, xs)
-        assert all((ids[i] == ids[j]) == (want[i] == want[j])
-                   for i in range(len(xs)) for j in range(len(xs)))
+        assert sring._rows(lab, k, xs) == want
 
-    @pytest.mark.parametrize("kernel", ["_python_rows", "_numpy_rows"])
-    def test_kernels_tell_apart_rows_with_equal_code_sums(self, kernel):
+    def test_kernels_tell_apart_rows_with_equal_code_sums(self):
         # Points 1 and 5 (and -1, -5) share a label, and their pair multisets
         # differ with equal sums a + b: a code a + b would merge them.
         lab = [2, 2, 1, 3, 1, 0, 1]
-        first, second = getattr(sring, kernel)(lab, 4, [1, 5])
+        first, second = sring._rows(lab, 4, [1, 5])
         assert first != second
 
-    @pytest.mark.parametrize("kernel", ["_python_rows", "_numpy_rows"])
-    def test_rows_are_built_for_orbit_representatives_only(self, kernel):
+    def test_rows_are_built_for_orbit_representatives_only(self):
         # {x = 1 mod 4} at n = 256: M = {m = 1 mod 4} has 64 elements and 16 orbits.
         n, s = 256, frozenset(range(1, 256, 4))
         mult = reference_multipliers(n, s)
         reps = {x for x in range(n) if x == min(m * x % n for m in mult)}
         assert (len(mult), len(reps)) == (64, 16)
-        budget = 0 if kernel == "_numpy_rows" else n * n
-        with mock.patch.object(sring, "MAX_PYTHON_PAIRS", budget), \
-                mock.patch.object(sring, kernel, wraps=getattr(sring, kernel)) as spy:
+        with mock.patch.object(sring, "_rows", wraps=sring._rows) as spy:
             ring = generate_sring(n, s)
         built = [x for call in spy.call_args_list for x in call.args[2]]
         assert built and set(built) <= reps
@@ -298,7 +289,7 @@ class TestPointPath:
     def test_memory_does_not_grow_with_the_rank(self):
         # {1, 2} generates the discrete ring: rank 240, so about 29000 class
         # pairs in the last rounds.  M is trivial, and 240 rows of 240 codes
-        # a round are within MAX_PYTHON_PAIRS: pure Python lists, whose size
+        # a round are within MAX_POINT_PAIRS: pure Python tuples, whose size
         # does not depend on that number.
         tracemalloc.start()
         try:
@@ -308,22 +299,6 @@ class TestPointPath:
             tracemalloc.stop()
         assert ring.rank == 240
         assert peak < 8 << 20
-
-    def test_numpy_memory_is_one_matrix_whatever_the_rank(self):
-        # Above MAX_PYTHON_PAIRS numpy sorts one n x n int32 matrix a round
-        # (4 MiB here, 4.6 MiB peak).  ``_number_rows`` compares sorted
-        # neighbours in blocks of 256 KiB; a sorted copy of the matrix
-        # would take the peak past 8 MiB.
-        n = 1024
-        assert n * n > sring.MAX_PYTHON_PAIRS
-        tracemalloc.start()
-        try:
-            ring = generate_sring(n, {1, 2})
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert ring.rank == n
-        assert peak < 6 << 20
 
     def test_refuses_above_the_bound(self):
         with pytest.raises(BoundExceededError) as err:
@@ -335,6 +310,28 @@ class TestPointPath:
         # Whatever the rank: {x : x = 1 mod 4} has a ring of rank 5 at n = 4096.
         with pytest.raises(BoundExceededError, match="n=8192"):
             generate_sring(8192, range(1, 8192, 4))
+
+    def test_refuses_above_the_pair_bound(self):
+        # M is trivial for {1, 2}, so there are n orbits: 362 * 362 = 131044
+        # pairs a round are within 2^17, and 363 * 363 = 131769 are not.
+        assert generate_sring(362, {1, 2}).rank == 362
+        with pytest.raises(BoundExceededError) as err:
+            generate_sring(363, {1, 2})
+        assert str(err.value) == (
+            "instance too large: n=363 has 363 multiplier orbits, so 131769 "
+            "orbit-point pairs per round (bound 131072)"
+        )
+
+    def test_pair_refusal_comes_before_any_row(self):
+        tracemalloc.start()
+        try:
+            with mock.patch.object(sring, "_rows", side_effect=AssertionError("row")), \
+                    pytest.raises(BoundExceededError, match="16777216 orbit-point pairs"):
+                generate_sring(4096, {1, 2})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestUnits:
