@@ -122,7 +122,7 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
     if req.include_generators or req.run_oracle:
         gens = gwp.transport(gwp.gwp_generators(poset, max_degree=n), poset)
         if req.include_generators:
-            payload["generators"] = [list(g.image) for g in gens]
+            payload["generators"] = [g.image for g in gens]
 
     if req.run_oracle:
         graph = groundtruth.CirculantGraph.of(n, connection)
@@ -193,45 +193,45 @@ def _analysis_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dump_json(payload: dict) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, byte for byte.
+def _dump_json(payload: dict):
+    """The pieces of ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline.
 
-    Given an indent, ``json`` uses its pure-Python encoder, so the layout is
-    written here: a list of plain ints is joined directly, and every other
-    leaf goes through ``json.dumps``.  ``json`` is imported here, so text
-    output and rejections never load it.
+    Joined, they equal that string byte for byte; written one by one, they
+    never hold the whole document in memory.  Given an indent, ``json`` uses
+    its pure-Python encoder, so the layout is written here: a list of plain
+    ints is joined directly, and every other leaf goes through
+    ``json.dumps``.  ``json`` is imported here, so text output and rejections
+    never load it.
     """
     import json
 
-    parts: list[str] = []
-    _write_json(payload, "\n", parts, json.dumps)
-    parts.append("\n")
-    return "".join(parts)
+    yield from _json_pieces(payload, "\n", json.dumps)
+    yield "\n"
 
 
-def _write_json(value, newline: str, parts: list[str], dumps) -> None:
-    """Append the JSON of ``value`` to ``parts``, nested at the indent ``newline`` ends with."""
+def _json_pieces(value, newline: str, dumps):
+    """The JSON pieces of ``value``, nested at the indent ``newline`` ends with."""
     inner = newline + "  "
     if isinstance(value, (list, tuple)) and value:
-        if all(type(x) is int for x in value):
-            parts.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+        if set(map(type, value)) == {int}:
+            yield "[" + inner + ("," + inner).join(map(str, value)) + newline + "]"
             return
         sep = "[" + inner
         for x in value:
-            parts.append(sep)
-            _write_json(x, inner, parts, dumps)
+            yield sep
+            yield from _json_pieces(x, inner, dumps)
             sep = "," + inner
-        parts.append(newline + "]")
+        yield newline + "]"
     elif isinstance(value, dict) and value and all(type(k) is str for k in value):
         sep = "{" + inner
         for key in sorted(value):
-            parts.append(sep + dumps(key) + ": ")
-            _write_json(value[key], inner, parts, dumps)
+            yield sep + dumps(key) + ": "
+            yield from _json_pieces(value[key], inner, dumps)
             sep = "," + inner
-        parts.append(newline + "}")
+        yield newline + "}"
     else:
         # A scalar, an empty container, or a dict with keys json must convert.
-        parts.append(dumps(value, sort_keys=True, indent=2).replace("\n", newline))
+        yield dumps(value, sort_keys=True, indent=2).replace("\n", newline)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -245,7 +245,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     payload = _analysis_payload(req)
     if req.fmt == "json":
-        sys.stdout.write(_dump_json(payload))
+        sys.stdout.writelines(_dump_json(payload))
     elif req.fmt == "dot":
         sys.stdout.write(DivisorLattice(req.n, tuple(payload["lattice"])).to_dot())
     else:
@@ -263,7 +263,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         )
     report = oracle.full_verify(n, use_oracle=use_oracle)
     if args.format == "json":
-        sys.stdout.write(_dump_json(report.to_json_dict()))
+        sys.stdout.writelines(_dump_json(report.to_json_dict()))
     else:
         for rec in report.records:
             d = ",".join(map(str, rec.subset)) or "-"

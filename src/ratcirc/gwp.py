@@ -13,6 +13,12 @@ of L's rational ring.  There the class of z is the least l in L with z in
 Z_l, and L is gcd-closed, so z lies in Z_l exactly when class(z) divides
 l.  Hence class(g(y) - g(x)) = class(y - x) for all x, y exactly when,
 for every l in L, y - x lies in Z_l if and only if g(y) - g(x) does.
+Only the r join-irreducibles of L are checked, the principal down-set
+products of the poset (L is distributive; Bailey, Praeger, Rowley & Speed,
+*Generalized wreath products of permutation groups*, 1983).  A bijection
+that permutes the cosets of Z_a and of Z_b permutes those of
+Z_a + Z_b = Z_lcm(a,b), and every member of L is the lcm of the
+join-irreducibles below it, so the r checks pass exactly when all |L| do.
 
 Wreath products are written active part first: in A wr C the group A
 permutes the blocks and C acts inside each block, so |A wr C| equals
@@ -33,10 +39,10 @@ from itertools import product
 from ._record import frozen
 from .arith import factorial_items, factored_value
 from .errors import BoundExceededError, InternalConsistencyError
-from .lattice import DivisorLattice
 from . import perms
 from .posets import (
     WeightedPoset,
+    _principal_products,
     _strides,
     find_n_subposet,
     poset_to_lattice,
@@ -95,6 +101,7 @@ def gwp_generators(
         raise BoundExceededError(f"degree {n} exceeds bound {max_degree}")
     weights = p.weights
     strides = _strides(weights)
+    points = tuple(range(n))  # every image shares these int objects
 
     gens: list[perms.Perm] = []
     for i in range(p.size):
@@ -110,7 +117,7 @@ def gwp_generators(
             start = sum(x * strides[j] for x, j in zip(u, anc))
             for k in range(weights[i] - 1):
                 lo = start + k * si
-                image = list(range(n))
+                image = list(points)
                 for f in offsets:
                     image[lo + f] = lo + f + si
                     image[lo + f + si] = lo + f
@@ -124,47 +131,65 @@ def transport(
 ) -> list[perms.Perm]:
     """Conjugate generators from tuple space onto Z_n via the coefficient map.
 
-    With verification on, every transported generator must permute the
-    cosets of Z_l for each l in the poset's lattice (so it preserves every
-    basic Cayley graph); a failure means the pipeline is inconsistent.
+    The image of point y is to_zn[g(from_zn[y])], read by two itemgetter
+    lookups.  With verification on, every transported generator must permute
+    the cosets of Z_l for each l in the poset's lattice (so it preserves
+    every basic Cayley graph); a failure means the pipeline is inconsistent.
     """
     to_zn = weak_iso_map(p).points
+    from_zn = perms._invert(to_zn)
     n = p.total
     out = []
     for g in tuple_gens:
-        image = [0] * n
-        for idx in range(n):
-            image[to_zn[idx]] = to_zn[g.image[idx]]
-        out.append(perms.Perm(image))
+        if len(g.image) != n:
+            raise ValueError("degree mismatch")
+        out.append(perms.Perm(perms._compose(from_zn, perms._compose(g.image, to_zn))))
 
     if verify:
-        _check_block_structure(out, poset_to_lattice(p))
+        _check_block_structure(out, p)
     return out
 
 
-def _check_block_structure(gens, lat: DivisorLattice) -> None:
-    """Raise unless each permutation permutes the cosets of Z_l for every inner l of ``lat``.
+def _check_block_structure(gens, p: WeightedPoset) -> None:
+    """Raise unless each permutation permutes the cosets of Z_l for every inner l of p's lattice.
+
+    Only the r join-irreducibles are checked, which is exact (see the module
+    docstring).  The error names the first failing generator and, from a
+    scan of every inner member, the least l it breaks.
+    """
+    n = p.total
+    members = _principal_products(p)
+    for g in gens:
+        support = [x for x, y in enumerate(g.image) if x != y]
+        if all(_permutes_cosets(g, support, n, l) for l in members):
+            continue
+        # The failing join-irreducible is an inner member (Z_1 and Z_n are
+        # kept by any bijection), so the scan finds one.
+        least = next(l for l in poset_to_lattice(p).elements[1:-1]
+                     if not _permutes_cosets(g, support, n, l))
+        raise InternalConsistencyError(
+            f"transported generator {g} does not permute the cosets "
+            f"of the subgroup of order {least}"
+        )
+
+
+def _permutes_cosets(g, support: list[int], n: int, l: int) -> bool:
+    """Whether g maps each coset of Z_l into one coset.
 
     The cosets of Z_l are the residue classes mod n/l, all of size l, so g
     permutes them when each class maps into one class.  A class that holds a
     fixed point (fewer than l moved points) must map into itself, so only
-    the support is read.  The error names the first generator and least l.
+    the support of g is read.
     """
-    n = lat.modulus
-    for g in gens:
-        support = [x for x, y in enumerate(g.image) if x != y]
-        for l in lat.elements[1:-1]:  # Z_1 and Z_n are kept by any bijection
-            m = n // l
-            images: dict[int, list[int]] = {}  # class mod m -> its moved points' images mod m
-            for x in support:
-                images.setdefault(x % m, []).append(g.image[x] % m)
-            for c, targets in images.items():
-                want = c if len(targets) < l else targets[0]
-                if any(t != want for t in targets):
-                    raise InternalConsistencyError(
-                        f"transported generator {g} does not permute the cosets "
-                        f"of the subgroup of order {l}"
-                    )
+    m = n // l
+    images: dict[int, list[int]] = {}  # class mod m -> its moved points' images mod m
+    for x in support:
+        images.setdefault(x % m, []).append(g.image[x] % m)
+    for c, targets in images.items():
+        want = c if len(targets) < l else targets[0]
+        if any(t != want for t in targets):
+            return False
+    return True
 
 
 @frozen

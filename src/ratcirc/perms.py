@@ -41,13 +41,12 @@ class Perm:
     __slots__ = ("image",)
 
     def __init__(self, image) -> None:
+        """Validate ``image``: n distinct ints, the least 0 and the greatest n - 1."""
         img = tuple(image)
         n = len(img)
-        seen = bytearray(n)
-        for x in img:
-            if not 0 <= x < n or seen[x]:
-                raise ValueError(f"not a permutation of 0..{n - 1}: {img}")
-            seen[x] = 1
+        if n and not (set(map(type, img)) == {int} and len(set(img)) == n
+                      and min(img) == 0 and max(img) == n - 1):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {img}")
         object.__setattr__(self, "image", img)
 
     @classmethod

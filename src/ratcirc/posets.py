@@ -189,9 +189,12 @@ def poset_to_lattice(p: WeightedPoset) -> DivisorLattice:
     node in one but not another is incomparable to the other's nodes, so
     their weights are coprime.  Hence the closure of the r principal products.
     """
-    return lattice_closure(
-        p.total, (math.prod(p.weights[i] for i in p.down_set(j)) for j in range(p.size))
-    )
+    return lattice_closure(p.total, _principal_products(p))
+
+
+def _principal_products(p: WeightedPoset) -> tuple[int, ...]:
+    """Weight product of each node's principal down-set: the lattice's r join-irreducibles."""
+    return tuple(math.prod(p.weights[i] for i in p.down_set(j)) for j in range(p.size))
 
 
 def lattice_to_poset(lat: DivisorLattice) -> WeightedPoset:

@@ -3,8 +3,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,14 @@ def trace_diagnostic(n, residues):
     orbit = {x: [y for y in range(1, n) if math.gcd(y, n) == math.gcd(x, n)] for x in s}
     x = min(x for x in s if not set(orbit[x]) <= s)
     return f"error: not rational: trace of {{{x}}} is {{{','.join(map(str, orbit[x]))}}}\n"
+
+
+# SHA-256 of the stdout of ``analyze n --divisors D --generators --format json``.
+GENERATORS_JSON_SHA256 = {
+    (200, "2,4,5,8,25"): "9cc4035895b8b83c5d9b350a075ec0a1a4d351b4dbf4c5e60e4e364e11eddb4f",
+    (288, "2,3,4,9,16"): "1c30002bb389db2d49a0de587289ad06d3c0d353a1877ce9e2fe428518d77dff",
+    (360, "2,3,5,8,9"): "fa7704694acd1aa340402bbb162e34d3a682efa0dd71d2172df28f604259e378",
+}
 
 
 class TestAnalyze:
@@ -154,6 +164,31 @@ class TestAnalyze:
         payload = json.loads(out)
         assert code == 0
         assert all(sorted(g) == list(range(6)) for g in payload["generators"])
+
+    @pytest.mark.parametrize("n, divisors", sorted(GENERATORS_JSON_SHA256))
+    def test_generators_json_bytes_are_pinned(self, n, divisors, src_env):
+        # The SHA-256 of stdout, so that a leaner transport or JSON writer keeps every byte.
+        done = subprocess.run(
+            [sys.executable, "-m", "ratcirc.cli", "analyze", str(n), "--divisors", divisors,
+             "--generators", "--format", "json"],
+            env=src_env, capture_output=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert hashlib.sha256(done.stdout).hexdigest() == GENERATORS_JSON_SHA256[n, divisors]
+
+    def test_generators_json_heap_stays_small(self):
+        # 2.65 MiB of Python heap with fresh image lists and the document joined
+        # into one string; about 1.6 MiB with shared ints and streamed pieces.
+        req = AnalysisRequest(n=360, residues=None, divisor_subset=(2, 3, 5, 8, 9), fmt="json",
+                              include_generators=True)
+        with open(os.devnull, "w") as sink:
+            tracemalloc.start()
+            try:
+                sink.writelines(_dump_json(_analysis_payload(req)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2.25 * 2 ** 20
 
     def test_loop_rejected(self, capsys):
         code, _, err = run(capsys, "analyze", "6", "--set", "0,1")
@@ -405,16 +440,16 @@ class TestDumpJson:
         floats = dict(exact, spectrum=spectrum(CirculantGraph.of(12, {1, 2})).to_json_dict())
         assert not floats["spectrum"]["exact"]
         for payload in (exact, floats):
-            assert _dump_json(payload) == reference_dump(payload)
+            assert "".join(_dump_json(payload)) == reference_dump(payload)
 
     def test_enumerate_report(self):
         report = full_verify(12, use_oracle=True).to_json_dict()
-        assert _dump_json(report) == reference_dump(report)
+        assert "".join(_dump_json(report)) == reference_dump(report)
 
     @given(payload=st.dictionaries(st.text(max_size=5), json_payloads, max_size=5))
     @settings(max_examples=200, deadline=None)
     def test_nested_payloads(self, payload):
-        assert _dump_json(payload) == reference_dump(payload)
+        assert "".join(_dump_json(payload)) == reference_dump(payload)
 
 
 NUMPY_PROBE = """

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -24,6 +25,7 @@ from ratcirc import (
     transport,
     trivial_lattice,
 )
+from ratcirc import gwp
 from ratcirc.arith import factored_value
 from ratcirc.gwp import GroupExpression, gwp_exponents
 from ratcirc.posets import _strides, find_n_subposet, poset_to_lattice, weak_iso_map
@@ -263,6 +265,45 @@ class TestTransport:
                 else:
                     with pytest.raises(InternalConsistencyError):
                         transport([h], p)
+
+    def test_degree_mismatch(self, poset_n):
+        # n = 36: a shorter generator, and a longer one whose first 36 images are 0..35.
+        for g in (Perm.identity(35), Perm.transposition(37, 0, 36), Perm.identity(37)):
+            with pytest.raises(ValueError, match=r"^degree mismatch$"):
+                transport([g], poset_n)
+
+    @pytest.mark.parametrize("n", [12, 24, 36, 48, 60, 72])
+    def test_join_irreducible_check_matches_all_members(self, n, monkeypatch):
+        """Corrupt each transported generator by a transposition: the check on the
+        r join-irreducibles raises exactly when some inner member breaks, naming the least."""
+        from ratcirc import InternalConsistencyError
+
+        checked = []
+        real = gwp._permutes_cosets
+        monkeypatch.setattr(gwp, "_permutes_cosets", lambda *args: checked.append(args[-1]) or real(*args))
+        for lat in sublattices(n):
+            p = lattice_to_poset(lat)
+            checked.clear()
+            valid = transport(gwp_generators(p, max_degree=n), p)
+            # Join-irreducible: not the lcm of the members strictly below it.
+            irreducible = {l for l in lat.elements[1:]
+                           if math.lcm(*(d for d in lat.elements if l % d == 0 and d != l)) != l}
+            assert len(irreducible) == p.size
+            assert Counter(checked) == {l: len(valid) for l in irreducible}
+            for k, g in enumerate(valid):
+                # (a, a + d) with d running through 1..n-1: some stay in every coset.
+                a = k % n
+                h = g * Perm.transposition(n, a, (a + 1 + k % (n - 1)) % n)
+                least = least_broken_subgroup(h, lat)
+                if least is None:
+                    gwp._check_block_structure([h], p)
+                else:
+                    with pytest.raises(InternalConsistencyError) as err:
+                        gwp._check_block_structure([h], p)
+                    assert str(err.value) == (
+                        f"transported generator {h} does not permute the cosets "
+                        f"of the subgroup of order {least}"
+                    )
 
 
 class TestBuildGwp:

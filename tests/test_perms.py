@@ -43,6 +43,27 @@ class TestPerm:
         with pytest.raises(ValueError):
             Perm((0, 0, 1))
 
+    @pytest.mark.parametrize("image", [
+        (0, 0, 1), (2, 1, 2),  # repeated
+        (0, 1, 3), (3, 1, 0, 5, 4),  # out of range
+        (-1, 0, 1), (0, 1, -3),  # negative
+        (0, 1.0, 2), (0, "1"), (None,), (True, False), (1.5, 0),  # not ints
+    ])
+    def test_rejects_non_permutations(self, image):
+        with pytest.raises(ValueError) as err:
+            Perm(image)
+        assert str(err.value) == f"not a permutation of 0..{len(image) - 1}: {image}"
+
+    @given(st.lists(st.integers(-2, 6), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_the_permutations(self, image):
+        if sorted(image) == list(range(len(image))):
+            assert Perm(image).image == tuple(image)
+        else:
+            with pytest.raises(ValueError) as err:
+                Perm(image)
+            assert str(err.value) == f"not a permutation of 0..{len(image) - 1}: {tuple(image)}"
+
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             Perm.identity(3) * Perm.identity(4)
