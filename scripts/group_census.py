@@ -38,7 +38,7 @@ def main() -> int:
         expr = render_group_expression(poset)
         sig = tuple(sorted(order.items()))
         if args.two_orbits:
-            gens = transport(gwp_generators(poset, max_degree=args.n), poset, verify=False)
+            gens = transport(gwp_generators(poset), poset, verify=False)
             sig = (sig, frozenset(PermutationGroup(args.n, gens).two_orbits()))
         signatures.add(sig)
         lattice_txt = "{" + ",".join(map(str, lat.elements)) + "}"

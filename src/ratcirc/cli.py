@@ -120,7 +120,7 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
         payload["order"] = value
 
     if req.include_generators or req.run_oracle:
-        gens = gwp.transport(gwp.gwp_generators(poset, max_degree=n), poset)
+        gens = gwp.transport(gwp.gwp_generators(poset), poset)
         if req.include_generators:
             payload["generators"] = [g.image for g in gens]
 
@@ -295,11 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratcirc",
         description="Automorphism groups of rational circulant graphs.",
-    )
-    parser.add_argument(
-        "--seedless",
-        action="store_true",
-        help="reserved; the pipeline is deterministic and uses no randomness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -69,7 +69,7 @@ class DivisorLattice:
             raise ValueError("lattice needs at least one element")
         if any(els[i] >= els[i + 1] for i in range(len(els) - 1)):
             raise ValueError("elements must be strictly increasing")
-        if any(n % x != 0 or x < 1 for x in els):
+        if any(x < 1 or n % x != 0 for x in els):
             raise ValueError(f"elements {els} must all divide the modulus {n}")
         if n not in els:
             raise ValueError("the modulus must be an element of its lattice")

@@ -25,16 +25,16 @@ from . import sring
 # -- schurity and isomorphism ------------------------------------------------
 
 
-def schurity_check(lat: DivisorLattice, max_degree: int = 200) -> bool:
+def schurity_check(lat: DivisorLattice) -> bool:
     """2-orbits of the constructed group vs. arc relations of the basic sets.
 
     Always true in theory; a False return means the pipeline broke.
     """
     n = lat.modulus
     p = lattice_to_poset(lat)
-    gens = transport(gwp_generators(p, max_degree=max_degree), p, verify=False)
+    gens = transport(gwp_generators(p), p, verify=False)
     group = PermutationGroup(n, gens)
-    orbit_partition = set(group.two_orbits(max_degree=max_degree))
+    orbit_partition = set(group.two_orbits())
 
     basic = sring.basic_sets_from_lattice(lat).ring.basic_sets
     arc_partition = {

@@ -14,7 +14,7 @@ from operator import itemgetter
 from .arith import factorize
 from .errors import BoundExceededError
 
-DEFAULT_MAX_TWO_ORBIT_DEGREE = 200
+MAX_TWO_ORBIT_DEGREE = 200
 
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -332,16 +332,14 @@ class PermutationGroup:
             out.append(tuple(sorted(comp)))
         return out
 
-    def two_orbits(
-        self, max_degree: int = DEFAULT_MAX_TWO_ORBIT_DEGREE
-    ) -> tuple[frozenset[tuple[int, int]], ...]:
+    def two_orbits(self) -> tuple[frozenset[tuple[int, int]], ...]:
         """Orbits of the coordinatewise action on ordered pairs.
 
         Classes appear in order of their lexicographically smallest pair.
         """
         n = self.degree
-        if n > max_degree:
-            raise BoundExceededError(f"degree {n} exceeds two-orbit bound {max_degree}")
+        if n > MAX_TWO_ORBIT_DEGREE:
+            raise BoundExceededError(f"degree {n} exceeds two-orbit bound {MAX_TWO_ORBIT_DEGREE}")
         images = [g.image for g in self.generators]
         seen = [False] * (n * n)
         classes = []

@@ -312,7 +312,7 @@ def universal_partition(n: int) -> PartitionOfZn:
 
 def coset_partition(n: int, order: int) -> PartitionOfZn:
     """Cosets of the subgroup of the given order in Z_n."""
-    if n % order != 0:
+    if order < 1 or n % order != 0:
         raise ValueError(f"no subgroup of order {order} in Z_{n}")
     step = n // order
     return PartitionOfZn.of(

@@ -73,7 +73,7 @@ def orbit_set(n: int, d: int) -> frozenset[int]:
 
 def subgroup(n: int, order: int) -> frozenset[int]:
     """The unique subgroup of Z_n of the given order (multiples of n/order)."""
-    if n % order != 0:
+    if order < 1 or n % order != 0:
         raise ValueError(f"no subgroup of order {order} in Z_{n}")
     step = n // order
     return frozenset(range(0, n, step))
@@ -167,19 +167,6 @@ class SchurRing:
             if frozenset((-x) % n for x in t) not in family:
                 raise ValueError(f"negation of {sorted(t)} is not a basic set")
         self.structure_constants()
-
-    def to_json_dict(self) -> dict:
-        try:
-            basis = list(group_basis(self).lattice.elements)
-        except NotRationalError:
-            basis = None
-        return {
-            "n": self.n,
-            "rank": self.rank,
-            "basic_sets": [sorted(t) for t in self.basic_sets],
-            "rational": basis is not None,
-            "group_basis": basis,
-        }
 
 
 def generate_sring(n: int, s) -> SchurRing:

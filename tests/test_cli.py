@@ -132,6 +132,14 @@ class TestAnalyze:
         assert (done.returncode, done.stdout, done.stderr) == (
             3, "", "error: oracle refused for n=55440 (bound 40); raise --max-oracle-n to force\n")
 
+    def test_generators_refused_before_allocation_under_address_space_cap(self, tmp_path, src_env):
+        # 36997 generators of degree 55440: refused from the poset alone.
+        done = run_child(tmp_path, src_env, "analyze", "55440", "--divisors", "2,3,5,7,8,9,11",
+                         "--generators", "--format", "json")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            3, "", "error: instance too large: n=55440 needs 36997 generators of degree 55440, "
+                   "so 2051113680 image entries (bound 134217728)\n")
+
     def test_fine_ring_under_address_space_cap(self, tmp_path, src_env):
         # {1, 2} generates the discrete ring of Z_2000: about 2 million class
         # pairs in the last rounds, each round still one n x n code matrix.
@@ -338,10 +346,6 @@ class TestRequestValidation:
         req = AnalysisRequest(n=6, residues=None, divisor_subset=(6,))
         with pytest.raises(ValueError):
             req.connection_set()
-
-    def test_seedless_flag_is_inert(self, capsys):
-        code, out, _ = run(capsys, "--seedless", "enumerate", "2", "--format", "json")
-        assert code == 0
 
     @pytest.mark.parametrize("command", ["analyze", "export-dot"])
     def test_modulus_zero_is_rejected_before_parsing_residues(self, capsys, command):

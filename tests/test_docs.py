@@ -1,19 +1,22 @@
 """The README states every fixed resource bound with the value the code uses,
-and every code name it spells out still exists."""
+every code name it spells out still exists, and its command synopsis names
+exactly the CLI's flags."""
+import argparse
 import importlib
 import re
 from pathlib import Path
 
 from ratcirc import gwp, lattice, oracle, perms, sring
+from ratcirc.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 BOUNDS = {
     "lattice.MAX_MODULUS": lattice.MAX_MODULUS,
     "lattice.DEFAULT_MAX_TAU": lattice.DEFAULT_MAX_TAU,
-    "perms.DEFAULT_MAX_TWO_ORBIT_DEGREE": perms.DEFAULT_MAX_TWO_ORBIT_DEGREE,
+    "perms.MAX_TWO_ORBIT_DEGREE": perms.MAX_TWO_ORBIT_DEGREE,
     "oracle.DEFAULT_MAX_ORACLE_N": oracle.DEFAULT_MAX_ORACLE_N,
-    "gwp.DEFAULT_MAX_DEGREE": gwp.DEFAULT_MAX_DEGREE,
+    "gwp.MAX_GENERATOR_ENTRIES": gwp.MAX_GENERATOR_ENTRIES,
     "sring.MAX_POINT_N": sring.MAX_POINT_N,
     "sring.MAX_POINT_PAIRS": sring.MAX_POINT_PAIRS,
 }
@@ -64,3 +67,26 @@ def test_readme_names_resolve():
         except (AttributeError, ImportError):
             unresolved.append(name)
     assert unresolved == []
+
+
+def synopsis_flags() -> dict[str, set[str]]:
+    """subcommand -> the long flags of its entry in README's ``## Command line`` synopsis."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```", 2)[1]
+    entries = re.split(r"^ratcirc ", block, flags=re.MULTILINE)[1:]
+    return {entry.split()[0]: set(re.findall(r"--[\w-]+", entry)) for entry in entries}
+
+
+def parser_flags() -> dict[str, set[str]]:
+    """subcommand -> the long flags ``build_parser()`` accepts with it, ``--help`` excluded."""
+    parser = build_parser()
+
+    def long_flags(p):
+        return {s for a in p._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: long_flags(parser) | long_flags(p) for name, p in sub.choices.items()}
+
+
+def test_readme_synopsis_names_every_flag():
+    assert synopsis_flags() == parser_flags()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from itertools import permutations, product
 
@@ -172,8 +173,15 @@ class TestGwpGenerators:
         assert len(gens) == expected == 15
 
     def test_degree_bound(self):
-        with pytest.raises(BoundExceededError):
-            gwp_generators(antichain((11, 23)), max_degree=200)
+        # 2^27 points and 2^27 - 1 generators: refused before any image is built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundExceededError, match="bound 134217728"):
+                gwp_generators(chain((2, 2 ** 26)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_order_matches_closed_form_up_to_20(self):
         for n in range(2, 21):
@@ -284,7 +292,7 @@ class TestTransport:
         for lat in sublattices(n):
             p = lattice_to_poset(lat)
             checked.clear()
-            valid = transport(gwp_generators(p, max_degree=n), p)
+            valid = transport(gwp_generators(p), p)
             # Join-irreducible: not the lcm of the members strictly below it.
             irreducible = {l for l in lat.elements[1:]
                            if math.lcm(*(d for d in lat.elements if l % d == 0 and d != l)) != l}
@@ -373,7 +381,7 @@ def test_transported_group_preserves_all_basic_graphs(data):
 def test_vectorised_check_matches_scalar_reference(data):
     n = data.draw(st.sampled_from([6, 8, 9, 12, 16, 18, 20, 24, 30, 36]))
     p = lattice_to_poset(data.draw(st.sampled_from(sublattices(n))))
-    valid = gwp_generators(p, max_degree=n)
+    valid = gwp_generators(p)
     perms = data.draw(st.lists(st.sampled_from(valid), max_size=3))
     for _ in range(data.draw(st.integers(0, 2))):
         word = data.draw(st.lists(st.sampled_from(valid), min_size=1, max_size=4))

@@ -15,6 +15,7 @@ from ratcirc import (
     tau,
     trivial_lattice,
 )
+from ratcirc import posets, sring
 
 
 def brute_divisors(n):
@@ -186,6 +187,17 @@ class TestValidation:
     def test_requires_modulus_member(self):
         with pytest.raises(ValueError):
             DivisorLattice(12, (1, 2, 4))
+
+    @pytest.mark.parametrize("call", [
+        lambda: DivisorLattice(6, (0, 6)),
+        lambda: DivisorLattice.of(6, [0, 1, 6]),
+        lambda: sring.subgroup(6, 0),
+        lambda: posets.coset_partition(6, 0),
+    ], ids=["DivisorLattice", "DivisorLattice.of", "subgroup", "coset_partition"])
+    def test_zero_is_not_a_divisor(self, call):
+        # A value error, not a ZeroDivisionError from n % 0.
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestDot:

@@ -239,7 +239,7 @@ def point_path_sets(draw):
 class TestPointPath:
     @given(point_path_sets())
     @settings(max_examples=150, deadline=None)
-    def test_both_kernels_match_the_reference(self, case):
+    def test_point_path_matches_the_reference(self, case):
         n, s = case
         want = reference_generate_sring(n, s)
         assert generate_sring(n, s) == want
@@ -255,7 +255,7 @@ class TestPointPath:
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_kernels_agree_with_the_row_definition(self, data):
+    def test_rows_match_their_definition(self, data):
         # Arbitrary labels, not only stable ones: any lost pair code shows.
         n = data.draw(st.integers(min_value=1, max_value=40), label="n")
         k = data.draw(st.integers(min_value=1, max_value=n), label="k")
@@ -264,7 +264,7 @@ class TestPointPath:
         want = [tuple(sorted(lab[u] * k + lab[(x - u) % n] for u in range(n))) for x in xs]
         assert sring._rows(lab, k, xs) == want
 
-    def test_kernels_tell_apart_rows_with_equal_code_sums(self):
+    def test_rows_tell_apart_equal_code_sums(self):
         # Points 1 and 5 (and -1, -5) share a label, and their pair multisets
         # differ with equal sums a + b: a code a + b would merge them.
         lab = [2, 2, 1, 3, 1, 0, 1]
@@ -556,23 +556,6 @@ class TestGeneratorSubset:
         for n in range(1, 31):
             for lat in sublattices(n):
                 generator_subset(lat)  # internal verification raises on failure
-
-
-class TestJson:
-    def test_shape(self):
-        d = generate_sring(6, {1, 5}).to_json_dict()
-        assert d == {
-            "n": 6,
-            "rank": 4,
-            "basic_sets": [[0], [1, 5], [2, 4], [3]],
-            "rational": True,
-            "group_basis": [1, 2, 3, 6],
-        }
-
-    def test_non_rational_has_null_basis(self):
-        d = generate_sring(5, {1}).to_json_dict()
-        assert d["rational"] is False
-        assert d["group_basis"] is None
 
 
 def test_subgroup_helper():
