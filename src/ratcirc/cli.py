@@ -200,33 +200,40 @@ def _dump_json(payload: dict):
     never hold the whole document in memory.  Given an indent, ``json`` uses
     its pure-Python encoder, so the layout is written here: a list of plain
     ints is joined directly, and every other leaf goes through
-    ``json.dumps``.  ``json`` is imported here, so text output and rejections
-    never load it.
+    ``json.dumps``.  A list of plain ints in [0, len) (a permutation image)
+    reads its decimals from one table of ``str(k)``, grown to the longest
+    such list and shared by the whole document.  ``json`` is imported here,
+    so text output and rejections never load it.
     """
     import json
 
-    yield from _json_pieces(payload, "\n", json.dumps)
+    yield from _json_pieces(payload, "\n", json.dumps, [])
     yield "\n"
 
 
-def _json_pieces(value, newline: str, dumps):
+def _json_pieces(value, newline: str, dumps, decimals: list[str]):
     """The JSON pieces of ``value``, nested at the indent ``newline`` ends with."""
     inner = newline + "  "
     if isinstance(value, (list, tuple)) and value:
         if set(map(type, value)) == {int}:
-            yield "[" + inner + ("," + inner).join(map(str, value)) + newline + "]"
+            if min(value) >= 0 and max(value) < len(value):
+                decimals.extend(map(str, range(len(decimals), len(value))))
+                text = map(decimals.__getitem__, value)
+            else:
+                text = map(str, value)
+            yield "[" + inner + ("," + inner).join(text) + newline + "]"
             return
         sep = "[" + inner
         for x in value:
             yield sep
-            yield from _json_pieces(x, inner, dumps)
+            yield from _json_pieces(x, inner, dumps, decimals)
             sep = "," + inner
         yield newline + "]"
     elif isinstance(value, dict) and value and all(type(k) is str for k in value):
         sep = "{" + inner
         for key in sorted(value):
             yield sep + dumps(key) + ": "
-            yield from _json_pieces(value[key], inner, dumps)
+            yield from _json_pieces(value[key], inner, dumps, decimals)
             sep = "," + inner
         yield newline + "}"
     else:

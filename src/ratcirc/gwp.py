@@ -39,11 +39,10 @@ from itertools import product
 from ._record import frozen
 from .arith import factorial_items, factored_value
 from .errors import BoundExceededError, InternalConsistencyError
-from . import perms
+from . import perms, posets
 from .posets import (
     WeightedPoset,
     _principal_products,
-    _strides,
     find_n_subposet,
     poset_to_lattice,
     weak_iso_map,
@@ -97,6 +96,11 @@ def gwp_generators(p: WeightedPoset, *, max_degree: int | None = None) -> list[p
     whose ancestor projection equals u.  Each image is written directly from
     the strides: the swapped points are lo + f and lo + f + stride_i, where
     lo encodes u and k and f runs over the offsets of the other coordinates.
+    Once per node i, before its images, the 2 |offsets| positions f and
+    f + stride_i must be distinct and, shifted by every lo, lie in Z_n:
+    then each image is a product of disjoint transpositions, a permutation,
+    and is stored unchecked.  The check reads the offsets, not n points per
+    image, and raises ``InternalConsistencyError`` when it fails.
     The sum m_i (w_i - 1) images of degree n are refused before the first is
     built when they hold more than ``MAX_GENERATOR_ENTRIES`` entries.
     ``max_degree`` is ignored; it is accepted because ``bench/baseline.py``
@@ -110,7 +114,7 @@ def gwp_generators(p: WeightedPoset, *, max_degree: int | None = None) -> list[p
             f"so {n * count} image entries (bound {MAX_GENERATOR_ENTRIES})"
         )
     weights = p.weights
-    strides = _strides(weights)
+    strides = posets._strides(weights)
     points = tuple(range(n))  # every image shares these int objects
 
     gens: list[perms.Perm] = []
@@ -123,6 +127,17 @@ def gwp_generators(p: WeightedPoset, *, max_degree: int | None = None) -> list[p
             for t in product(*(range(weights[j]) for j in free))
         ]
         si = strides[i]
+        # lo sums x * stride_j over the ancestors j and k * si, each factor
+        # from 0 up, so its extremes are the sums of the terms' extremes.
+        swapped = offsets + [f + si for f in offsets]
+        reach = [(weights[j] - 1) * strides[j] for j in anc] + [(weights[i] - 2) * si]
+        if (len(set(swapped)) != len(swapped)
+                or sum(min(x, 0) for x in reach) + min(swapped) < 0
+                or sum(max(x, 0) for x in reach) + max(swapped) >= n):
+            raise InternalConsistencyError(
+                f"the swaps of poset node {i + 1} (stride {si}) "
+                f"are not disjoint transpositions of Z_{n}"
+            )
         for u in product(*(range(weights[j]) for j in anc)):
             start = sum(x * strides[j] for x, j in zip(u, anc))
             for k in range(weights[i] - 1):
@@ -131,7 +146,6 @@ def gwp_generators(p: WeightedPoset, *, max_degree: int | None = None) -> list[p
                 for f in offsets:
                     image[lo + f] = lo + f + si
                     image[lo + f + si] = lo + f
-                # disjoint transpositions, a permutation by construction
                 gens.append(perms.Perm._unchecked(tuple(image)))
     return gens
 
@@ -142,9 +156,12 @@ def transport(
     """Conjugate generators from tuple space onto Z_n via the coefficient map.
 
     The image of point y is to_zn[g(from_zn[y])], read by two itemgetter
-    lookups.  With verification on, every transported generator must permute
-    the cosets of Z_l for each l in the poset's lattice (so it preserves
-    every basic Cayley graph); a failure means the pipeline is inconsistent.
+    lookups.  Each input is a ``Perm`` of degree n and the point table is a
+    bijection, checked once when ``TransportMap.points`` is built, so every
+    composite is a permutation and is stored unchecked.  With verification
+    on, every transported generator must permute the cosets of Z_l for each
+    l in the poset's lattice (so it preserves every basic Cayley graph); a
+    failure means the pipeline is inconsistent.
     """
     to_zn = weak_iso_map(p).points
     from_zn = perms._invert(to_zn)
@@ -153,7 +170,7 @@ def transport(
     for g in tuple_gens:
         if len(g.image) != n:
             raise ValueError("degree mismatch")
-        out.append(perms.Perm(perms._compose(from_zn, perms._compose(g.image, to_zn))))
+        out.append(perms.Perm._unchecked(perms._compose(from_zn, perms._compose(g.image, to_zn))))
 
     if verify:
         _check_block_structure(out, p)

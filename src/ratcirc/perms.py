@@ -51,6 +51,12 @@ class Perm:
 
     @classmethod
     def _unchecked(cls, image: tuple[int, ...]) -> "Perm":
+        """Wrap ``image`` without validation: the caller guarantees a permutation.
+
+        Each caller builds the tuple as one: a composition or inverse of
+        permutations, or disjoint swaps in a copy of range(n).  Input from
+        outside goes through ``Perm(...)``.
+        """
         p = object.__new__(cls)
         object.__setattr__(p, "image", image)
         return p

@@ -236,24 +236,37 @@ class TransportMap:
     Coordinate i carries the coefficient prod of weights of all nodes not
     below-or-equal i; a tuple maps to the coefficient-weighted sum mod n.
     ``points[k]`` is the image of the k-th tuple in mixed-radix order (the
-    order of ``_strides``).  Bijectivity is verified on construction.
+    order of ``_strides``).  The point table, and with it the check that the
+    map is a bijection, is built on first read of ``points``: the
+    coefficients alone never cost n.
     """
 
     def __init__(self, poset: WeightedPoset) -> None:
         self.poset = poset
-        self.n = n = poset.total
+        self.n = poset.total
         self.coefficients = tuple(
             complement_weight_product(poset, poset.down_set(i))
             for i in range(poset.size)
         )
+        self._points: tuple[int, ...] | None = None
+
+    @property
+    def points(self) -> tuple[int, ...]:
+        """The point table, built and checked once, on first read."""
+        if self._points is None:
+            self._points = self._point_table()
+        return self._points
+
+    def _point_table(self) -> tuple[int, ...]:
+        n = self.n
         points = [0]
-        for w, c in zip(poset.weights, self.coefficients):
+        for w, c in zip(self.poset.weights, self.coefficients):
             points = [(v + c * x) % n for v in points for x in range(w)]
-        self.points = tuple(points)
         if len(dict.fromkeys(points)) != n:
             raise InternalConsistencyError(
                 f"coefficient map {self.coefficients} is not a bijection mod {n}"
             )
+        return tuple(points)
 
     def tuple_to_point(self, t: tuple[int, ...]) -> int:
         return sum(c * x for c, x in zip(self.coefficients, t)) % self.n
@@ -264,7 +277,7 @@ class TransportMap:
 
 
 def weak_iso_map(p: WeightedPoset) -> TransportMap:
-    """The verified tuple-to-residue bijection for a valid weighted poset."""
+    """The tuple-to-residue bijection for a valid weighted poset, verified when its points are read."""
     return TransportMap(p)
 
 

@@ -145,7 +145,7 @@ def test_criterion_06_round_trip_suites():
         for lat in sublattices(n):
             p = lattice_to_poset(lat)
             assert poset_to_lattice(p) == lat, (n, lat.elements)
-            weak_iso_map(p)  # constructor verifies bijectivity
+            weak_iso_map(p).points  # the point table verifies bijectivity
             s = generator_subset(lat)  # verifies recovery via closure
             assert group_basis(generate_sring(n, s)).lattice == lat
             checked += 1

@@ -450,6 +450,16 @@ class TestDumpJson:
         report = full_verify(12, use_oracle=True).to_json_dict()
         assert "".join(_dump_json(report)) == reference_dump(report)
 
+    @pytest.mark.parametrize("payload", [
+        # images of growing and shrinking degree share one decimal table
+        {"generators": [[1, 0], list(range(300))[::-1], [2, 0, 1], list(range(1000))]},
+        {"edge": [[0, 1, 3], [3, 2, 1], [0, 0, 0], [5]]},  # max equal to the length, repeats
+        {"negative": [[-1, 0, 1], [0, -2]], "wide": [[2 ** 63, 0], [0, 2 ** 64 + 1, 1]]},
+        {"bools": [[True, 0], [0, False, 1], [True, False]], "ints": [1, 0]},
+    ])
+    def test_int_lists_against_json(self, payload):
+        assert "".join(_dump_json(payload)) == reference_dump(payload)
+
     @given(payload=st.dictionaries(st.text(max_size=5), json_payloads, max_size=5))
     @settings(max_examples=200, deadline=None)
     def test_nested_payloads(self, payload):

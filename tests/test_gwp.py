@@ -196,6 +196,28 @@ class TestGwpGenerators:
                 p = lattice_to_poset(lat)
                 assert gwp_generators(p) == scan_generators(p), (n, lat.elements)
 
+    def test_images_are_involutions_and_transport_keeps_permutations(self):
+        # The images are stored unchecked, behind the per-node guard: validate them here.
+        for n in range(2, 73):
+            for lat in sublattices(n):
+                p = lattice_to_poset(lat)
+                gens = gwp_generators(p)
+                for g in gens:
+                    assert Perm(g.image) == g and (g * g).is_identity(), (n, lat.elements)
+                for g in transport(gens, p, verify=False):
+                    assert Perm(g.image) == g, (n, lat.elements)
+
+    @pytest.mark.parametrize("strides", [(1, 1), (6, 2), (3, 2)])
+    def test_guard_catches_overlapping_or_escaping_swaps(self, monkeypatch, strides):
+        # On weights (2, 3) the true strides are (3, 1).  With (1, 1) node 1's
+        # swaps 0<->1, 1<->2, 2<->3 overlap; with (6, 2) and (3, 2) they leave Z_6.
+        from ratcirc import InternalConsistencyError, posets
+
+        monkeypatch.setattr(posets, "_strides", lambda weights: strides)
+        with pytest.raises(InternalConsistencyError,
+                           match=r"^the swaps of poset node 1 .* not disjoint transpositions of Z_6$"):
+            gwp_generators(antichain((2, 3)))
+
     def test_antichain_two_orbit_count_general(self):
         for weights in [(2, 3), (2, 3, 5)]:
             p = antichain(weights)
@@ -273,6 +295,26 @@ class TestTransport:
                 else:
                     with pytest.raises(InternalConsistencyError):
                         transport([h], p)
+
+    def test_no_per_image_validation(self, monkeypatch):
+        # Tripwire: transport builds no validated Perm, and each map builds its
+        # point table once, so no O(n) pass per generator creeps back in.
+        from ratcirc import perms, pipeline, posets
+        from ratcirc.sring import orbit_union
+
+        _, _, p = pipeline.rational_chain(360, orbit_union(360, (2, 3, 5, 8, 9)))
+        gens = gwp_generators(p)
+        validated, tables = [], []
+        real_init, real_table = perms.Perm.__init__, posets.TransportMap._point_table
+        monkeypatch.setattr(perms.Perm, "__init__",
+                            lambda self, image: validated.append(1) or real_init(self, image))
+        monkeypatch.setattr(posets.TransportMap, "_point_table",
+                            lambda self: tables.append(self) or real_table(self))
+        assert len(transport(gens, p)) == len(gens) == 253
+        assert validated == [] and len(tables) == 1
+        tm = weak_iso_map(p)
+        assert tm.coefficients and len(tables) == 1  # the coefficients build no table
+        assert tm.points is tm.points and tables[1:] == [tm]
 
     def test_degree_mismatch(self, poset_n):
         # n = 36: a shorter generator, and a longer one whose first 36 images are 0..35.

@@ -225,10 +225,17 @@ class TestWeakIsoMap:
         for t in product(range(3), range(2), range(3), range(2)):
             assert tm.point_to_tuple(tm.tuple_to_point(t)) == t
 
+    def test_bijectivity_is_checked_when_points_are_read(self):
+        tm = weak_iso_map(chain((3, 2)))
+        tm.coefficients = (2, 2)  # 2x + 2y mod 6 misses the odd residues
+        with pytest.raises(InternalConsistencyError, match=r"^coefficient map \(2, 2\) is not a bijection mod 6$"):
+            tm.points
+
     def test_bijective_for_all_small_posets(self):
         for n in range(2, 61):
             for lat in sublattices(n):
-                tm = weak_iso_map(lattice_to_poset(lat))  # raises when not bijective
+                tm = weak_iso_map(lattice_to_poset(lat))
+                tm.points  # the point table raises when the map is not bijective
                 tuples = product(*(range(w) for w in tm.poset.weights))
                 for k, t in enumerate(tuples):
                     v = sum(c * x for c, x in zip(tm.coefficients, t)) % n
