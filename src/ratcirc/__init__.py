@@ -81,9 +81,7 @@ _HOME = {
             "weak_iso_map",
         ),
         "gwp": (
-            "GeneralizedWreathProduct",
             "GroupExpression",
-            "build_gwp",
             "gwp_generators",
             "gwp_order",
             "render_group_expression",

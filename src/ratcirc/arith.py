@@ -52,10 +52,9 @@ def factorial_factored(n: int) -> dict[int, int]:
 def factorial_items(n: int) -> tuple[tuple[int, int], ...]:
     """The (prime, exponent) pairs of n!, ascending, computed once per n.
 
-    A group order is a product of factorials of the poset weights, and one
-    request asks for the same weights several times (the order, the
-    expression's own order, their cross-check), each costing a sieve up to
-    the weight.
+    A group order is a product of factorials of the poset weights, and
+    ``enumerate`` asks for the same weights again and again across divisor
+    subsets, each costing a sieve up to the weight.
     """
     if n < 0:
         raise ValueError("factorial of a negative number")

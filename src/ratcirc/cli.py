@@ -242,12 +242,15 @@ def _json_pieces(value, newline: str, dumps, decimals: list[str]):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    # DOT prints only the lattice, so it builds no generators and no spectrum;
+    # --oracle is a check, and still runs.
+    dot = args.format == "dot"
     req = _request(
         args,
         fmt=args.format,
-        include_generators=args.generators,
+        include_generators=args.generators and not dot,
         run_oracle=args.oracle,
-        run_spectrum=args.spectrum,
+        run_spectrum=args.spectrum and not dot,
         max_oracle_n=args.max_oracle_n,
     )
     payload = _analysis_payload(req)

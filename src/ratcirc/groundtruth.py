@@ -285,7 +285,7 @@ def _class_eigenvalues(n: int, ds) -> np.ndarray:
     return np.array(per_class, dtype=np.int64)[where]
 
 
-def spectrum(graph: CirculantGraph, tol: float = 1e-6) -> SpectrumReport:
+def spectrum(graph: CirculantGraph) -> SpectrumReport:
     """Eigenvalues of the arc adjacency matrix.
 
     A trace-closed set (its gcd classes d fill the orbits O_d: the sizes
@@ -295,6 +295,7 @@ def spectrum(graph: CirculantGraph, tol: float = 1e-6) -> SpectrumReport:
     import numpy as np
 
     n = graph.n
+    tol = 1e-6  # the DFT's rounding error allowed
     indicator = np.zeros(n)
     indicator[list(graph.connection)] = 1.0
     dft = np.fft.fft(indicator)

@@ -19,6 +19,10 @@ products of the poset (L is distributive; Bailey, Praeger, Rowley & Speed,
 that permutes the cosets of Z_a and of Z_b permutes those of
 Z_a + Z_b = Z_lcm(a,b), and every member of L is the lcm of the
 join-irreducibles below it, so the r checks pass exactly when all |L| do.
+The same step names a failure without the rest of L: a member that is not
+join-irreducible is lcm(a, b) for members a, b strictly below it, and if
+Z_lcm(a,b) fails then Z_a or Z_b fails, so the least failing member of L
+is a join-irreducible.
 
 Wreath products are written active part first: in A wr C the group A
 permutes the blocks and C acts inside each block, so |A wr C| equals
@@ -30,6 +34,11 @@ exactly when it has no induced N (Valdes, Tarjan & Lawler, *The
 recognition of series parallel digraphs*, SIAM J. Comput. 11, 1982), so
 ``render_group_expression`` reads the expression off the poset whenever
 ``find_n_subposet`` finds no N, and keeps the gwp descriptor otherwise.
+Each leaf of such an expression is one poset node, and a wreath product
+raises its lower part to the degree of its upper part, the product of that
+part's weights, so the expression's factors (w!)^m are exactly the poset's
+(w_i!)^(m_i), one per node.  The expression is checked on those factor
+lists, which is stronger than comparing orders: (2!)^3 = (2!)^2 * 2!.
 """
 from __future__ import annotations
 
@@ -37,14 +46,13 @@ import math
 from itertools import product
 
 from ._record import frozen
-from .arith import factorial_items, factored_value
+from .arith import factorial_items
 from .errors import BoundExceededError, InternalConsistencyError
 from . import perms, posets
 from .posets import (
     WeightedPoset,
     _principal_products,
     find_n_subposet,
-    poset_to_lattice,
     weak_iso_map,
 )
 
@@ -180,24 +188,21 @@ def transport(
 def _check_block_structure(gens, p: WeightedPoset) -> None:
     """Raise unless each permutation permutes the cosets of Z_l for every inner l of p's lattice.
 
-    Only the r join-irreducibles are checked, which is exact (see the module
-    docstring).  The error names the first failing generator and, from a
-    scan of every inner member, the least l it breaks.
+    Only the r join-irreducibles are checked, which is exact, and the error
+    names the first failing generator and the least join-irreducible it
+    breaks, which is the least member of the lattice it breaks (see the
+    module docstring).
     """
     n = p.total
     members = _principal_products(p)
     for g in gens:
         support = [x for x, y in enumerate(g.image) if x != y]
-        if all(_permutes_cosets(g, support, n, l) for l in members):
-            continue
-        # The failing join-irreducible is an inner member (Z_1 and Z_n are
-        # kept by any bijection), so the scan finds one.
-        least = next(l for l in poset_to_lattice(p).elements[1:-1]
-                     if not _permutes_cosets(g, support, n, l))
-        raise InternalConsistencyError(
-            f"transported generator {g} does not permute the cosets "
-            f"of the subgroup of order {least}"
-        )
+        failed = [l for l in members if not _permutes_cosets(g, support, n, l)]
+        if failed:
+            raise InternalConsistencyError(
+                f"transported generator {g} does not permute the cosets "
+                f"of the subgroup of order {min(failed)}"
+            )
 
 
 def _permutes_cosets(g, support: list[int], n: int, l: int) -> bool:
@@ -217,33 +222,6 @@ def _permutes_cosets(g, support: list[int], n: int, l: int) -> bool:
         if any(t != want for t in targets):
             return False
     return True
-
-
-@frozen
-class GeneralizedWreathProduct:
-    """Bundle of the poset, exponents, factored order and generators."""
-
-    poset: WeightedPoset
-    exponents: tuple[int, ...]
-    order: tuple[tuple[int, int], ...]
-    generators: tuple[perms.Perm, ...]
-
-    @property
-    def order_factored(self) -> dict[int, int]:
-        return dict(self.order)
-
-    @property
-    def order_value(self) -> int:
-        return factored_value(self.order_factored)
-
-
-def build_gwp(p: WeightedPoset) -> GeneralizedWreathProduct:
-    return GeneralizedWreathProduct(
-        poset=p,
-        exponents=gwp_exponents(p),
-        order=tuple(sorted(gwp_order(p).items())),
-        generators=tuple(gwp_generators(p)),
-    )
 
 
 # -- symbolic expression of the group ------------------------------------
@@ -357,7 +335,12 @@ def _decompose(p: WeightedPoset, nodes: list[int]) -> GroupExpression | None:
 
 
 def render_group_expression(p: WeightedPoset) -> GroupExpression:
-    """Direct/wreath product tree when the poset is N-free, else a gwp descriptor."""
+    """Direct/wreath product tree when the poset is N-free, else a gwp descriptor.
+
+    The tree's factors (w!)^m must be the poset's (w_i!)^(m_i), one per
+    node (see the module docstring); equal lists give equal orders, so the
+    order is not expanded into primes here.
+    """
     if find_n_subposet(p) is not None:
         return GroupExpression("gwp", poset=p)
     expr = _decompose(p, list(range(p.size)))
@@ -365,8 +348,8 @@ def render_group_expression(p: WeightedPoset) -> GroupExpression:
         raise InternalConsistencyError(
             f"poset {p} has no induced N but did not decompose"
         )
-    if expr.order_factored() != gwp_order(p):
+    if sorted(expr._factorial_powers(1, [])) != sorted(zip(p.weights, gwp_exponents(p))):
         raise InternalConsistencyError(
-            f"expression order mismatch for poset {p}"
+            f"expression factors differ from the node factors of poset {p}"
         )
     return expr

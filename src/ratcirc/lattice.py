@@ -144,9 +144,9 @@ class DivisorLattice:
                         out.append((x, y))
         return sorted(out)
 
-    def to_dot(self, name: str = "lattice") -> str:
+    def to_dot(self) -> str:
         """Hasse diagram in DOT format, edges pointing upward."""
-        lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=plaintext];"]
+        lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=plaintext];"]
         for x in self.elements:
             lines.append(f'  "{x}";')
         for x, y in self.covers():

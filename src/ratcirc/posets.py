@@ -107,9 +107,9 @@ class WeightedPoset:
             "weights": list(self.weights),
         }
 
-    def to_dot(self, name: str = "poset") -> str:
+    def to_dot(self) -> str:
         """Hasse diagram with weight labels, edges pointing upward."""
-        lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=plaintext];"]
+        lines = ["digraph poset {", "  rankdir=BT;", "  node [shape=plaintext];"]
         for i, w in enumerate(self.weights):
             lines.append(f'  "{i + 1}" [label="{i + 1} [{w}]"];')
         for i, j in self.covers():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,24 @@ class TestAnalyze:
         )
         assert code == 0
         assert out.count("->") == 10
+
+    def test_dot_format_builds_no_generators(self, capsys):
+        # 2051113680 image entries would be refused with exit 3; DOT prints none of them.
+        argv = ["analyze", "55440", "--divisors", "2,3,5,7,8,9,11", "--format", "dot"]
+        plain = run(capsys, *argv)
+        assert plain[0] == 0 and plain[1].startswith("digraph lattice {")
+        assert run(capsys, *argv, "--generators") == plain
+
+    def test_one_gwp_order_per_request(self, capsys, monkeypatch):
+        calls = []
+        real = gwp.gwp_order
+        monkeypatch.setattr(gwp, "gwp_order", lambda p: calls.append(p) or real(p))
+        for argv in (["analyze", "36", "--divisors", "2,3,4,6"],
+                     ["analyze", "12", "--divisors", "2,3", "--oracle", "--generators"],
+                     ["analyze", "360", "--divisors", "2,3,5,8,9", "--format", "json"]):
+            calls.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert len(calls) == 1, argv
 
 
 # SHA-256 of the stdout of ``enumerate n --verify --format json``.
@@ -592,6 +611,8 @@ LAYERS_PER_REQUEST = [
     ("analyze 5040 --divisors 2,3,5,7,8,9 --format json", 0, GROUP, True),
     ("export-dot 36 --divisors 2,3,4,9 --poset", 0, POSET, False),
     ("analyze 360 --divisors 2,3,5,8,9 --generators", 0, GENERATORS, False),
+    ("analyze 360 --divisors 2,3,5,8,9 --generators --format dot", 0, GROUP, False),
+    ("analyze 360 --divisors 2,3,5,8,9 --spectrum --format dot", 0, GROUP, False),
     ("enumerate 12", 0, EVERYTHING, False),
     ("analyze 36 --divisors 2,3,4,6 --oracle", 0, GROUND_TRUTH, False),
     ("enumerate 12 --verify --format json", 0, EVERYTHING, True),
@@ -653,8 +674,8 @@ PUBLIC_API = {
                "orthogonality_check", "poset_block_partition", "poset_from_pairs",
                "poset_isomorphic", "poset_to_lattice", "simple_reduction_applies",
                "universal_partition", "weak_iso_map"),
-    "gwp": ("GeneralizedWreathProduct", "GroupExpression", "build_gwp", "gwp_generators",
-            "gwp_order", "render_group_expression", "transport"),
+    "gwp": ("GroupExpression", "gwp_generators", "gwp_order", "render_group_expression",
+            "transport"),
     "groundtruth": ("CirculantGraph", "SpectrumReport", "brute_force_aut", "ramanujan_sum",
                     "spectrum"),
     "oracle": ("VerifyRecord", "VerifyReport", "count_rational_circulants", "full_verify",
@@ -678,7 +699,11 @@ class TestPublicApi:
         public = {name for names in PUBLIC_API.values() for name in names}
         star: dict = {}
         exec("from ratcirc import *", star)
-        assert public | set(PUBLIC_API) <= set(star)
+        assert set(PUBLIC_API) <= set(star)
+        # Exactly the table: a name added to or removed from the package updates it.
+        exported = {name for name in ratcirc.__all__
+                    if not isinstance(getattr(ratcirc, name), types.ModuleType)}
+        assert exported == public
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):

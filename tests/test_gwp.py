@@ -13,7 +13,6 @@ from ratcirc import (
     Perm,
     PermutationGroup,
     antichain,
-    build_gwp,
     chain,
     divisors,
     gwp_generators,
@@ -133,6 +132,7 @@ def least_broken_subgroup(g, lat):
 class TestGwpOrder:
     def test_poset_n(self, poset_n):
         assert gwp_order(poset_n) == {2: 11, 3: 4}
+        assert factored_value(gwp_order(poset_n)) == 165888
         # one symmetric factor per node: (3!)^3 * (2!)^6 * 3! * 2!
         assert gwp_exponents(poset_n) == (3, 6, 1, 1)
 
@@ -322,6 +322,19 @@ class TestTransport:
             with pytest.raises(ValueError, match=r"^degree mismatch$"):
                 transport([g], poset_n)
 
+    def test_failure_is_named_without_closing_the_lattice(self, poset_n, monkeypatch):
+        from ratcirc import InternalConsistencyError, lattice, posets
+
+        closures = []
+        for module in (lattice, posets):
+            real = module.lattice_closure
+            monkeypatch.setattr(module, "lattice_closure",
+                                lambda *args, real=real: closures.append(args) or real(*args))
+        g = transport(gwp_generators(poset_n), poset_n)[0] * Perm.transposition(36, 0, 1)
+        with pytest.raises(InternalConsistencyError, match="subgroup of order 2$"):
+            gwp._check_block_structure([g], poset_n)
+        assert closures == []
+
     @pytest.mark.parametrize("n", [12, 24, 36, 48, 60, 72])
     def test_join_irreducible_check_matches_all_members(self, n, monkeypatch):
         """Corrupt each transported generator by a transposition: the check on the
@@ -356,15 +369,6 @@ class TestTransport:
                     )
 
 
-class TestBuildGwp:
-    def test_bundle(self, poset_n):
-        g = build_gwp(poset_n)
-        assert g.order_factored == {2: 11, 3: 4}
-        assert g.order_value == 165888
-        assert len(g.generators) == 15
-        assert g.exponents == (3, 6, 1, 1)
-
-
 class TestExpression:
     def test_wreath_case(self):
         e = render_group_expression(lattice_to_poset(DivisorLattice(6, (1, 3, 6))))
@@ -389,6 +393,16 @@ class TestExpression:
         assert e.kind == "gwp"
         assert e.text() == "gwp([1<3, 2<3, 2<4], weights=[3, 2, 3, 2])"
         assert e.order_factored() == {2: 11, 3: 4}
+
+    def test_check_compares_factor_lists_not_orders(self, monkeypatch):
+        # The chain {1, 2, 4} has factors (2!)^1 (2!)^2; (2!)^3 has the same order.
+        from ratcirc import InternalConsistencyError
+
+        p = lattice_to_poset(DivisorLattice(4, (1, 2, 4)))
+        assert render_group_expression(p).text() == "S_2 ≀ S_2"
+        monkeypatch.setattr(GroupExpression, "_factorial_powers", lambda self, k, out: [(2, 3)])
+        with pytest.raises(InternalConsistencyError, match="expression factors differ"):
+            render_group_expression(p)
 
     def test_expression_order_agrees_everywhere(self):
         for n in range(2, 61):

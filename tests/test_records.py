@@ -160,7 +160,6 @@ RECORD_FIELDS = {
     ratcirc.CirculantGraph: ("n", "connection"),
     ratcirc.ComplementIdentityWitness: ("lattice", "m", "s", "left", "right"),
     ratcirc.DivisorLattice: ("modulus", "elements"),
-    ratcirc.GeneralizedWreathProduct: ("poset", "exponents", "order", "generators"),
     ratcirc.GroupExpression: ("kind", "weight", "children", "poset"),
     ratcirc.PartitionOfZn: ("n", "blocks"),
     ratcirc.RationalSRing: ("ring", "lattice"),
