@@ -58,7 +58,6 @@ _HOME = {
             "trace",
         ),
         "posets": (
-            "AncestralFamily",
             "PartitionOfZn",
             "SimplicityReport",
             "TransportMap",

@@ -43,14 +43,9 @@ def moebius(n: int) -> int:
     return -1 if len(f) % 2 else 1
 
 
-def factorial_factored(n: int) -> dict[int, int]:
-    """Factorization of n! via Legendre's formula; a fresh dict per call."""
-    return dict(factorial_items(n))
-
-
 @lru_cache(maxsize=32)
 def factorial_items(n: int) -> tuple[tuple[int, int], ...]:
-    """The (prime, exponent) pairs of n!, ascending, computed once per n.
+    """The (prime, exponent) pairs of n! by Legendre's formula, ascending, computed once per n.
 
     A group order is a product of factorials of the poset weights, and
     ``enumerate`` asks for the same weights again and again across divisor

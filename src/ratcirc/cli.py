@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 internal inconsistency (pipeline and oracle
 disagree), 2 invalid or non-rational input, 3 resource bound exceeded
-(a declared bound, or memory running out).
+(a declared bound, or memory running out), 141 stdout closed early.
 JSON output is byte-deterministic for a fixed request.
 """
 from __future__ import annotations
@@ -34,7 +34,6 @@ class AnalysisRequest:
     n: int
     residues: frozenset[int] | None
     divisor_subset: tuple[int, ...] | None
-    fmt: str = "text"
     include_generators: bool = False
     run_oracle: bool = False
     run_spectrum: bool = False
@@ -247,16 +246,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     dot = args.format == "dot"
     req = _request(
         args,
-        fmt=args.format,
         include_generators=args.generators and not dot,
         run_oracle=args.oracle,
         run_spectrum=args.spectrum and not dot,
         max_oracle_n=args.max_oracle_n,
     )
     payload = _analysis_payload(req)
-    if req.fmt == "json":
+    if args.format == "json":
         sys.stdout.writelines(_dump_json(payload))
-    elif req.fmt == "dot":
+    elif dot:
         sys.stdout.write(DivisorLattice(req.n, tuple(payload["lattice"])).to_dot())
     else:
         sys.stdout.write(_analysis_text(payload))
@@ -342,7 +340,16 @@ def main(argv=None) -> int:
             raise ValueError("n must be at least 2")
         if args.n > MAX_MODULUS:
             raise ValueError("n must be at most 2^32")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  End as a shell reports a writer killed by
+        # SIGPIPE, with stdout on the null device so the flush at exit is silent.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13
     except (NotRationalError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

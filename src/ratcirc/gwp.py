@@ -75,19 +75,14 @@ def gwp_exponents(p: WeightedPoset) -> tuple[int, ...]:
 
 
 def gwp_order(p: WeightedPoset) -> dict[int, int]:
-    """Factored order: product over i of (w_i!)^(ancestor weight product)."""
-    return _factorial_product(zip(p.weights, gwp_exponents(p)))
-
-
-def _factorial_product(powers) -> dict[int, int]:
-    """Factored product of (w!)^m over the (w, m) pairs, primes ascending.
+    """Factored order: product over i of (w_i!)^(ancestor weight product), primes ascending.
 
     The primes of a smaller factorial are a prefix of those of a larger one,
     so the largest weight lays out every prime, in ascending order, and the
     others add into that one dict.
     """
     order: dict[int, int] = {}
-    for w, m in sorted(powers, reverse=True):
+    for w, m in sorted(zip(p.weights, gwp_exponents(p)), reverse=True):
         if order:
             for q, e in factorial_items(w):
                 order[q] += e * m
@@ -253,9 +248,6 @@ class GroupExpression:
             d *= c.degree
         return d
 
-    def order_factored(self) -> dict[int, int]:
-        return _factorial_product(self._factorial_powers(1, []))
-
     def _factorial_powers(self, k: int, out: list) -> list:
         """Append (w, m) to ``out`` for each factor (w!)^m of this order to the power k.
 
@@ -303,10 +295,6 @@ class GroupExpression:
         return out
 
 
-def _sym(w: int) -> GroupExpression:
-    return GroupExpression("sym", weight=w)
-
-
 def _decompose(p: WeightedPoset, nodes: list[int]) -> GroupExpression | None:
     """Series-parallel decomposition of the subposet on ``nodes`` (ascending).
 
@@ -316,7 +304,7 @@ def _decompose(p: WeightedPoset, nodes: list[int]) -> GroupExpression | None:
     blocks.  None when neither rule applies.
     """
     if len(nodes) == 1:
-        return _sym(p.weights[nodes[0]])
+        return GroupExpression("sym", weight=p.weights[nodes[0]])
     components: list[set[int]] = []
     for i in nodes:
         linked = [c for c in components if any(p.leq[i][j] or p.leq[j][i] for j in c)]

@@ -135,24 +135,30 @@ class DivisorLattice:
 
     def covers(self) -> list[tuple[int, int]]:
         """Covering pairs (x, y) of the divisibility order, for Hasse diagrams."""
-        out = []
-        els = self.elements
-        for x in els:
-            for y in els:
-                if x != y and y % x == 0:
-                    if not any(z != x and z != y and z % x == 0 and y % z == 0 for z in els):
-                        out.append((x, y))
-        return sorted(out)
+        return cover_pairs(self.elements, lambda x, y: y % x == 0)
 
     def to_dot(self) -> str:
         """Hasse diagram in DOT format, edges pointing upward."""
-        lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=plaintext];"]
-        for x in self.elements:
-            lines.append(f'  "{x}";')
-        for x, y in self.covers():
-            lines.append(f'  "{x}" -> "{y}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return hasse_dot("lattice", dict.fromkeys(self.elements, ""), self.covers())
+
+
+def cover_pairs(elements, leq) -> list[tuple]:
+    """Covering pairs (x, y) of the order ``leq`` on ``elements``, sorted: the Hasse edges."""
+    return sorted(
+        (x, y) for x in elements for y in elements if x != y and leq(x, y)
+        and not any(z != x and z != y and leq(x, z) and leq(z, y) for z in elements)
+    )
+
+
+def hasse_dot(name: str, nodes: dict, edges) -> str:
+    """Hasse diagram in DOT format, edges pointing upward.
+
+    ``nodes`` maps each node, in output order, to its DOT attributes ("" for none).
+    """
+    lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=plaintext];"]
+    lines += [f'  "{x}"{attrs};' for x, attrs in nodes.items()]
+    lines += [f'  "{x}" -> "{y}";' for x, y in edges]
+    return "\n".join(lines) + "\n}\n"
 
 
 def trivial_lattice(n: int) -> DivisorLattice:

@@ -318,26 +318,6 @@ class PermutationGroup:
     def __contains__(self, g: Perm) -> bool:
         return self.sift(g).is_identity()
 
-    def orbits(self) -> list[tuple[int, ...]]:
-        """Point orbits under the generators, sorted by smallest member."""
-        seen = [False] * self.degree
-        out = []
-        for x in range(self.degree):
-            if seen[x]:
-                continue
-            comp, stack = [], [x]
-            seen[x] = True
-            while stack:
-                p = stack.pop()
-                comp.append(p)
-                for g in self.generators:
-                    q = g.image[p]
-                    if not seen[q]:
-                        seen[q] = True
-                        stack.append(q)
-            out.append(tuple(sorted(comp)))
-        return out
-
     def two_orbits(self) -> tuple[frozenset[tuple[int, int]], ...]:
         """Orbits of the coordinatewise action on ordered pairs.
 

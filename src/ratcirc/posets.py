@@ -21,7 +21,7 @@ from itertools import permutations, product
 
 from ._record import frozen
 from .errors import InternalConsistencyError
-from .lattice import DivisorLattice, lattice_closure
+from .lattice import DivisorLattice, cover_pairs, hasse_dot, lattice_closure
 from .arith import factorize
 
 
@@ -93,12 +93,7 @@ class WeightedPoset:
         return frozenset(j for j in range(self.size) if self.leq[j][i])
 
     def covers(self) -> list[tuple[int, int]]:
-        out = []
-        for i, j in self.strict_pairs():
-            if not any(k != i and k != j and self.leq[i][k] and self.leq[k][j]
-                       for k in range(self.size)):
-                out.append((i, j))
-        return sorted(out)
+        return cover_pairs(range(self.size), lambda i, j: self.leq[i][j])
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,13 +104,8 @@ class WeightedPoset:
 
     def to_dot(self) -> str:
         """Hasse diagram with weight labels, edges pointing upward."""
-        lines = ["digraph poset {", "  rankdir=BT;", "  node [shape=plaintext];"]
-        for i, w in enumerate(self.weights):
-            lines.append(f'  "{i + 1}" [label="{i + 1} [{w}]"];')
-        for i, j in self.covers():
-            lines.append(f'  "{i + 1}" -> "{j + 1}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        nodes = {i + 1: f' [label="{i + 1} [{w}]"]' for i, w in enumerate(self.weights)}
+        return hasse_dot("poset", nodes, [(i + 1, j + 1) for i, j in self.covers()])
 
 
 def poset_from_pairs(weights, pairs) -> WeightedPoset:
@@ -155,15 +145,8 @@ def poset_isomorphic(p: WeightedPoset, q: WeightedPoset) -> bool:
     return False
 
 
-@frozen
-class AncestralFamily:
+def ancestral_sets(p: WeightedPoset) -> tuple[frozenset[int], ...]:
     """All up-closed subsets of a poset, ordered by (size, members)."""
-
-    poset: WeightedPoset
-    sets: tuple[frozenset[int], ...]
-
-
-def ancestral_sets(p: WeightedPoset) -> AncestralFamily:
     r = p.size
     found = []
     for bits in range(1 << r):
@@ -171,7 +154,7 @@ def ancestral_sets(p: WeightedPoset) -> AncestralFamily:
         if all(p.up_set(i) <= members for i in members):
             found.append(members)
     found.sort(key=lambda s: (len(s), sorted(s)))
-    return AncestralFamily(p, tuple(found))
+    return tuple(found)
 
 
 def complement_weight_product(p: WeightedPoset, j: frozenset[int]) -> int:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from ratcirc.arith import factored_value, factored_value_below, factorial_factored, factorize
+from ratcirc.arith import factored_value, factored_value_below, factorial_items, factorize
 
 LIMIT = 2 ** 63
 
@@ -26,12 +26,10 @@ def test_factored_value_below_2_to_63(f, want):
         assert want == factored_value(f)
 
 
-def test_factorial_factored_is_fresh_and_exact():
+def test_factorial_items_are_exact():
     for n in [0, 1, 2, 10, 97, 360]:
-        first = factorial_factored(n)
-        assert first == (factorize(math.factorial(n)) if n > 1 else {})
-        assert list(first) == sorted(first)
-        first[2] = -1  # the caller's copy; the memoised pairs are immutable
-        assert factorial_factored(n) == (factorize(math.factorial(n)) if n > 1 else {})
+        items = factorial_items(n)
+        assert dict(items) == (factorize(math.factorial(n)) if n > 1 else {})
+        assert [p for p, _ in items] == sorted(p for p, _ in items)
     with pytest.raises(ValueError):
-        factorial_factored(-1)
+        factorial_items(-1)

@@ -188,7 +188,7 @@ class TestAnalyze:
     def test_generators_json_heap_stays_small(self):
         # 2.65 MiB of Python heap with fresh image lists and the document joined
         # into one string; about 1.6 MiB with shared ints and streamed pieces.
-        req = AnalysisRequest(n=360, residues=None, divisor_subset=(2, 3, 5, 8, 9), fmt="json",
+        req = AnalysisRequest(n=360, residues=None, divisor_subset=(2, 3, 5, 8, 9),
                               include_generators=True)
         with open(os.devnull, "w") as sink:
             tracemalloc.start()
@@ -334,6 +334,50 @@ class TestExportDot:
         assert out.count("->") == 3
         assert out.count("label=") == 4
 
+    def test_striking_diagrams_are_pinned(self, capsys):
+        argv = ["36", "--divisors", "2,3,4,6"]
+        assert run(capsys, "export-dot", *argv) == (0, STRIKING_LATTICE_DOT, "")
+        assert run(capsys, "export-dot", *argv, "--poset") == (0, STRIKING_POSET_DOT, "")
+        assert run(capsys, "analyze", *argv, "--format", "dot") == (0, STRIKING_LATTICE_DOT, "")
+
+
+STRIKING_LATTICE_DOT = """digraph lattice {
+  rankdir=BT;
+  node [shape=plaintext];
+  "1";
+  "2";
+  "3";
+  "4";
+  "6";
+  "12";
+  "18";
+  "36";
+  "1" -> "2";
+  "1" -> "3";
+  "2" -> "4";
+  "2" -> "6";
+  "3" -> "6";
+  "4" -> "12";
+  "6" -> "12";
+  "6" -> "18";
+  "12" -> "36";
+  "18" -> "36";
+}
+"""
+
+STRIKING_POSET_DOT = """digraph poset {
+  rankdir=BT;
+  node [shape=plaintext];
+  "1" [label="1 [3]"];
+  "2" [label="2 [2]"];
+  "3" [label="3 [3]"];
+  "4" [label="4 [2]"];
+  "1" -> "3";
+  "2" -> "3";
+  "2" -> "4";
+}
+"""
+
 
 NON_RATIONAL_DIAGNOSTIC = "error: not rational: trace of {1} is {1,5,7,11}\n"
 
@@ -391,6 +435,33 @@ class TestRequestValidation:
         assert parser.parse_args(["enumerate", "6"]).max_oracle_n == DEFAULT_MAX_ORACLE_N
         req = AnalysisRequest(n=6, residues=frozenset({1}), divisor_subset=None)
         assert req.max_oracle_n == DEFAULT_MAX_ORACLE_N
+
+
+class TestClosedStdout:
+    # 141 = 128 + SIGPIPE, what a shell reports for a writer whose reader has left.
+    def test_reader_leaves_mid_document(self, src_env):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "ratcirc.cli", "analyze", "360", "--divisors", "2,3,5,8,9",
+             "--generators", "--format", "json"],
+            env=src_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert child.stdout.read(10) == b'{\n  "basic'
+        child.stdout.close()  # 983 KB would follow
+        assert (child.wait(timeout=120), child.stderr.read()) == (141, b"")
+        child.stderr.close()
+
+    def test_reader_gone_before_the_exit_flush(self, src_env):
+        # Buffered stdout: a short answer reaches the pipe only when it is flushed.
+        env = {k: v for k, v in src_env.items() if k != "PYTHONUNBUFFERED"}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "ratcirc.cli", "analyze", "6", "--set",
+                                   "1,5"], env=env, stdout=write, stderr=subprocess.PIPE,
+                                  timeout=120)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b"")
 
 
 csv_tokens = st.lists(
@@ -455,7 +526,7 @@ json_payloads = st.recursive(
 
 class TestDumpJson:
     def test_analysis_payloads(self):
-        req = AnalysisRequest(n=36, residues=None, divisor_subset=(2, 3, 4, 6), fmt="json",
+        req = AnalysisRequest(n=36, residues=None, divisor_subset=(2, 3, 4, 6),
                               include_generators=True, run_oracle=True, run_spectrum=True)
         exact = _analysis_payload(req)
         assert exact["spectrum"]["exact"] and exact["generators"] and exact["oracle"]["match"]
@@ -668,8 +739,8 @@ PUBLIC_API = {
     "sring": ("RationalSRing", "SchurRing", "basic_sets_from_lattice", "generate_sring",
               "generator_subset", "group_basis", "is_rational", "is_trace_closed", "orbit_set",
               "orbit_union", "subgroup", "trace"),
-    "posets": ("AncestralFamily", "PartitionOfZn", "SimplicityReport", "TransportMap",
-               "WeightedPoset", "ancestral_sets", "antichain", "chain", "coset_partition",
+    "posets": ("PartitionOfZn", "SimplicityReport", "TransportMap", "WeightedPoset",
+               "ancestral_sets", "antichain", "chain", "coset_partition",
                "crested_product", "equality_partition", "is_simple_lattice", "lattice_to_poset",
                "orthogonality_check", "poset_block_partition", "poset_from_pairs",
                "poset_isomorphic", "poset_to_lattice", "simple_reduction_applies",

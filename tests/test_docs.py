@@ -1,7 +1,8 @@
 """The README states every fixed resource bound with the value the code uses,
-every code name it spells out still exists, and its command synopsis names
-exactly the CLI's flags."""
+every code name it spells out still exists, its command synopsis names
+exactly the CLI's flags, and its worked example computes what it states."""
 import argparse
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -90,3 +91,23 @@ def parser_flags() -> dict[str, set[str]]:
 
 def test_readme_synopsis_names_every_flag():
     assert synopsis_flags() == parser_flags()
+
+
+def library_example() -> str:
+    """The python block of README's ``## Library`` section."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_states_what_it_computes():
+    namespace, shown = {}, []
+    for stmt in ast.parse(library_example()).body:
+        if isinstance(stmt, ast.Expr):  # a line whose value the comment states
+            shown.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    assert namespace["ring"].rank == 8
+    assert namespace["lat"].elements == (1, 2, 3, 4, 6, 12, 18, 36)
+    assert namespace["poset"].weights == (3, 2, 3, 2)
+    assert shown == [{2: 11, 3: 4}, 165888, 165888]

@@ -44,7 +44,7 @@ def reference_find_n_subposet(p):
 
 def reference_poset_to_lattice(p):
     """Complementary weight products over all 2^r subsets that are ancestral."""
-    members = {complement_weight_product(p, j) for j in ancestral_sets(p).sets}
+    members = {complement_weight_product(p, j) for j in ancestral_sets(p)}
     return DivisorLattice.of(p.total, members)
 
 
@@ -59,7 +59,7 @@ def reference_lattice_to_poset(lat):
     sub = reference_lattice_to_poset(lat.below(m))
     s = min(x for x in lat.elements if m % x != 0)
     g = math.gcd(m, s)
-    hits = [j for j in ancestral_sets(sub).sets if complement_weight_product(sub, j) == g]
+    hits = [j for j in ancestral_sets(sub) if complement_weight_product(sub, j) == g]
     assert len(hits) == 1
     r = sub.size
     leq = [list(row) + [False] for row in sub.leq]
@@ -103,11 +103,11 @@ class TestWeightedPosetValidation:
 class TestAncestralSets:
     def test_chain(self):
         fam = ancestral_sets(chain((3, 2)))
-        assert fam.sets == (frozenset(), frozenset({1}), frozenset({0, 1}))
+        assert fam == (frozenset(), frozenset({1}), frozenset({0, 1}))
 
     def test_antichain_all_subsets(self):
         fam = ancestral_sets(antichain((2, 3)))
-        assert len(fam.sets) == 4
+        assert len(fam) == 4
 
     def test_poset_n(self, poset_n):
         fam = ancestral_sets(poset_n)
@@ -121,10 +121,10 @@ class TestAncestralSets:
             frozenset({1, 2, 3}),
             frozenset({0, 1, 2, 3}),
         }
-        assert set(fam.sets) == expected
+        assert set(fam) == expected
 
     def test_closed_under_union_and_intersection(self, poset_n):
-        fam = set(ancestral_sets(poset_n).sets)
+        fam = set(ancestral_sets(poset_n))
         for a in fam:
             for b in fam:
                 assert a | b in fam
@@ -143,7 +143,7 @@ class TestPosetToLattice:
 
     def test_size_equals_ancestral_count(self):
         for p in (chain((2, 2, 3)), antichain((2, 3)), poset_from_pairs((3, 2, 3), [(0, 2), (1, 2)])):
-            assert len(poset_to_lattice(p)) == len(ancestral_sets(p).sets)
+            assert len(poset_to_lattice(p)) == len(ancestral_sets(p))
 
 
 class TestLatticeToPoset:
@@ -263,14 +263,14 @@ class TestPosetBlockPartition:
             poset_block_partition(poset_n, {0})  # up-set of 0 contains 2
 
     def test_block_of_zero_is_subgroup(self, poset_n):
-        for j in ancestral_sets(poset_n).sets:
+        for j in ancestral_sets(poset_n):
             part = poset_block_partition(poset_n, j)
             d = complement_weight_product(poset_n, j)
             zero_block = next(b for b in part.blocks if 0 in b)
             assert zero_block == frozenset(range(0, 36, 36 // d))
 
     def test_partition_map_reverses_inclusion(self, poset_n):
-        fam = ancestral_sets(poset_n).sets
+        fam = ancestral_sets(poset_n)
         parts = {j: poset_block_partition(poset_n, j) for j in fam}
 
         def refines(e, f):

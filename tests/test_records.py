@@ -156,7 +156,6 @@ def test_match_args():
 
 # Every public record of the package, with its fields in constructor order.
 RECORD_FIELDS = {
-    ratcirc.AncestralFamily: ("poset", "sets"),
     ratcirc.CirculantGraph: ("n", "connection"),
     ratcirc.ComplementIdentityWitness: ("lattice", "m", "s", "left", "right"),
     ratcirc.DivisorLattice: ("modulus", "elements"),
@@ -170,7 +169,7 @@ RECORD_FIELDS = {
                            "oracle_order_factored", "match"),
     ratcirc.VerifyReport: ("n", "records"),
     ratcirc.WeightedPoset: ("weights", "leq"),
-    cli.AnalysisRequest: ("n", "residues", "divisor_subset", "fmt", "include_generators",
+    cli.AnalysisRequest: ("n", "residues", "divisor_subset", "include_generators",
                           "run_oracle", "run_spectrum", "max_oracle_n"),
 }
 
@@ -189,8 +188,8 @@ def test_public_records_bind_by_keyword():
     assert lat == ratcirc.DivisorLattice(12, (1, 2, 3, 6, 12))
     assert repr(lat) == "DivisorLattice(modulus=12, elements=(1, 2, 3, 6, 12))"
     req = cli.AnalysisRequest(n=6, residues=frozenset({1}), divisor_subset=None)
-    assert (req.fmt, req.include_generators, req.max_oracle_n) == (
-        "text", False, ratcirc.oracle.DEFAULT_MAX_ORACLE_N)
+    assert (req.include_generators, req.max_oracle_n) == (
+        False, ratcirc.oracle.DEFAULT_MAX_ORACLE_N)
     with pytest.raises(TypeError, match="multiple values for argument 'modulus'"):
         ratcirc.DivisorLattice(12, modulus=12)
     with pytest.raises(TypeError, match="missing 'modulus', 'elements'"):
