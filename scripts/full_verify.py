@@ -18,7 +18,7 @@ import sys
 import time
 
 from ratcirc import BoundExceededError, InternalConsistencyError, full_verify
-from ratcirc.oracle import DEFAULT_MAX_ORACLE_N
+from ratcirc.lattice import DEFAULT_MAX_ORACLE_N
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,6 +21,7 @@ from ratcirc import (
     transport,
 )
 from ratcirc.arith import factored_str, factored_value
+from ratcirc.claims import two_orbits
 
 
 def main() -> int:
@@ -39,7 +40,7 @@ def main() -> int:
         sig = tuple(sorted(order.items()))
         if args.two_orbits:
             gens = transport(gwp_generators(poset), poset, verify=False)
-            sig = (sig, frozenset(PermutationGroup(args.n, gens).two_orbits()))
+            sig = (sig, frozenset(two_orbits(PermutationGroup(args.n, gens))))
         signatures.add(sig)
         lattice_txt = "{" + ",".join(map(str, lat.elements)) + "}"
         print(f"{lattice_txt:<40} |G| = {factored_str(order):<18} = {factored_value(order):<12} {expr.text()}")

@@ -13,7 +13,8 @@ module, whose code is compiled and run when one of its attributes is
 first read; the public names below resolve through the module
 ``__getattr__`` (PEP 562).  So a CLI request compiles only the layers it
 runs: a set rejected by the ring layer never loads ``posets``, ``gwp``,
-``perms``, ``groundtruth`` or ``oracle``.  Function-local imports would
+``perms``, ``groundtruth`` or ``oracle``, and no request loads ``claims``,
+the checks of the paper's secondary claims.  Function-local imports would
 do the same for the CLI, but ``bench/tracer.py`` finds every layer as
 ``sys.modules["ratcirc.<module>"]`` right after ``import ratcirc.cli``,
 and library users keep ``ratcirc.<name>`` and ``from ratcirc import
@@ -31,52 +32,26 @@ _HOME = {
             "NotRationalError",
             "RatcircError",
         ),
-        "lattice": (
-            "ComplementIdentityWitness",
-            "DivisorLattice",
-            "complement_identity_check",
-            "divisors",
-            "full_lattice",
-            "lattice_closure",
-            "sublattices",
-            "tau",
-            "trivial_lattice",
-        ),
+        "lattice": ("DivisorLattice", "divisors", "lattice_closure", "tau"),
         "perms": ("Perm", "PermutationGroup", "is_subgroup_of"),
         "sring": (
             "RationalSRing",
             "SchurRing",
             "basic_sets_from_lattice",
             "generate_sring",
-            "generator_subset",
             "group_basis",
             "is_rational",
-            "is_trace_closed",
             "orbit_set",
             "orbit_union",
-            "subgroup",
             "trace",
         ),
         "posets": (
-            "PartitionOfZn",
-            "SimplicityReport",
             "TransportMap",
             "WeightedPoset",
-            "ancestral_sets",
             "antichain",
             "chain",
-            "coset_partition",
-            "crested_product",
-            "equality_partition",
-            "is_simple_lattice",
             "lattice_to_poset",
-            "orthogonality_check",
-            "poset_block_partition",
             "poset_from_pairs",
-            "poset_isomorphic",
-            "poset_to_lattice",
-            "simple_reduction_applies",
-            "universal_partition",
             "weak_iso_map",
         ),
         "gwp": (
@@ -93,21 +68,37 @@ _HOME = {
             "ramanujan_sum",
             "spectrum",
         ),
-        "oracle": (
-            "VerifyRecord",
-            "VerifyReport",
+        "oracle": ("VerifyRecord", "VerifyReport", "full_verify", "pipeline_order"),
+        "claims": (
+            "ComplementIdentityWitness",
+            "PartitionOfZn",
+            "SimplicityReport",
+            "ancestral_sets",
+            "complement_identity_check",
+            "coset_partition",
             "count_rational_circulants",
-            "full_verify",
-            "pipeline_order",
+            "crested_product",
+            "full_lattice",
+            "generator_subset",
+            "is_simple_lattice",
+            "is_trace_closed",
+            "orthogonality_check",
+            "poset_block_partition",
+            "poset_isomorphic",
+            "poset_to_lattice",
             "rational_iso_test",
             "schurity_check",
+            "simple_reduction_applies",
+            "sublattices",
+            "subgroup",
+            "trivial_lattice",
         ),
     }.items()
     for name in names
 }
 
 _SUBMODULES = ("_record", "arith", "errors", "lattice", "sring", "pipeline", "posets",
-               "perms", "gwp", "groundtruth", "oracle")
+               "perms", "gwp", "groundtruth", "oracle", "claims")
 
 
 def _register_lazily(name: str):

@@ -123,8 +123,9 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
         if req.include_generators:
             payload["generators"] = [g.image for g in gens]
 
-    if req.run_oracle:
+    if req.run_oracle or req.run_spectrum:
         graph = groundtruth.CirculantGraph.of(n, connection)
+    if req.run_oracle:
         oracle_group = groundtruth.brute_force_aut(graph, max_n=req.max_oracle_n)
         oracle_order = oracle_group.order_factored()
         match = oracle_order == order
@@ -142,7 +143,6 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
             )
 
     if req.run_spectrum:
-        graph = groundtruth.CirculantGraph.of(n, connection)
         payload["spectrum"] = groundtruth.spectrum(graph).to_json_dict()
 
     return payload

@@ -53,10 +53,6 @@ class CirculantGraph:
             raise ValueError("loops are not supported: 0 in connection set")
         return cls(n, reduced)
 
-    @property
-    def is_undirected(self) -> bool:
-        return self.connection == frozenset((-s) % self.n for s in self.connection)
-
     def out_masks(self) -> list[int]:
         """Out-neighborhoods as bitmasks, one per vertex."""
         masks = [0] * self.n

@@ -16,7 +16,6 @@ from itertools import combinations
 
 from ._record import frozen
 from .arith import factorize
-from .errors import BoundExceededError
 
 MAX_MODULUS = 2 ** 32
 DEFAULT_MAX_TAU = 12
@@ -161,16 +160,6 @@ def hasse_dot(name: str, nodes: dict, edges) -> str:
     return "\n".join(lines) + "\n}\n"
 
 
-def trivial_lattice(n: int) -> DivisorLattice:
-    """The two-element lattice {1, n} (a single point when n is 1)."""
-    return DivisorLattice.of(n, {1, n})
-
-
-def full_lattice(n: int) -> DivisorLattice:
-    """The complete divisor lattice L(n)."""
-    return DivisorLattice(n, tuple(divisors(n)))
-
-
 def lattice_closure(n: int, seed) -> DivisorLattice:
     """Smallest gcd/lcm-closed superset of seed together with 1 and n."""
     seed = set(seed)
@@ -190,70 +179,3 @@ def lattice_closure(n: int, seed) -> DivisorLattice:
         if not fresh:
             return DivisorLattice.of(n, closed)
         closed |= fresh
-
-
-def sublattices(n: int, max_tau: int = DEFAULT_MAX_TAU) -> list[DivisorLattice]:
-    """All sublattices of L(n) containing 1 and n, in a deterministic order.
-
-    Enumerates subsets of the inner divisors with a gcd/lcm closure check,
-    so the divisor count of n is bounded to keep this tractable.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if tau(n) > max_tau:
-        raise BoundExceededError(
-            f"instance too large: n={n} has {tau(n)} divisors (bound {max_tau})"
-        )
-    inner = [d for d in divisors(n) if d not in (1, n)]
-    # {1, n} is always closed, so only an out-of-range n makes this raise.
-    found = [trivial_lattice(n)]
-    for r in range(1, len(inner) + 1):
-        for combo in combinations(inner, r):
-            try:
-                found.append(DivisorLattice.of(n, {*combo, 1, n}))
-            except ValueError:  # not gcd/lcm-closed
-                pass
-    found.sort(key=lambda L: (len(L.elements), L.elements))
-    return found
-
-
-@frozen
-class ComplementIdentityWitness:
-    """Both sides of the interval-complement identity for one (L, m) choice.
-
-    For a maximal m in L minus the top and s the smallest member outside
-    the interval below m, the set L minus that interval equals
-    {x * s / gcd(m, s) : x in L, x | m, gcd(m, s) | x}.
-    """
-
-    lattice: DivisorLattice
-    m: int
-    s: int
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-
-    @property
-    def holds(self) -> bool:
-        return self.left == self.right
-
-
-def complement_identity_check(
-    L: DivisorLattice, m: int | None = None
-) -> ComplementIdentityWitness:
-    """Evaluate the complement identity, choosing m deterministically if omitted.
-
-    The default m is that of the first step of ``L.peel()``; any maximal
-    element of L minus the top is a valid override.
-    """
-    if len(L) < 2:
-        raise ValueError("need at least two elements")
-    if m is None:
-        m = L.peel()[0][1]
-    elif m not in L.maximal_elements():
-        raise ValueError(f"{m} is not a maximal element of L minus its top")
-    below = set(L.below(m).elements)
-    left = tuple(x for x in L if x not in below)
-    s = left[0]
-    g = math.gcd(m, s)
-    right = tuple(sorted(x * s // g for x in L.below(m).above(g)))
-    return ComplementIdentityWitness(L, m, s, left, right)

@@ -12,59 +12,13 @@ from __future__ import annotations
 from itertools import combinations
 
 from ._record import frozen
-from .errors import BoundExceededError, NotRationalError
+from .errors import BoundExceededError
 from .groundtruth import CirculantGraph, brute_force_aut
 from .lattice import DEFAULT_MAX_ORACLE_N, DEFAULT_MAX_TAU, DivisorLattice, divisors, tau
-from .perms import PermutationGroup
-from .posets import WeightedPoset, lattice_to_poset
-from .gwp import gwp_generators, gwp_order, transport
+from .posets import WeightedPoset
+from .gwp import gwp_order
 from .pipeline import rational_chain
 from . import sring
-
-
-# -- schurity and isomorphism ------------------------------------------------
-
-
-def schurity_check(lat: DivisorLattice) -> bool:
-    """2-orbits of the constructed group vs. arc relations of the basic sets.
-
-    Always true in theory; a False return means the pipeline broke.
-    """
-    n = lat.modulus
-    p = lattice_to_poset(lat)
-    gens = transport(gwp_generators(p), p, verify=False)
-    group = PermutationGroup(n, gens)
-    orbit_partition = set(group.two_orbits())
-
-    basic = sring.basic_sets_from_lattice(lat).ring.basic_sets
-    arc_partition = {
-        frozenset((x, (x + s) % n) for x in range(n) for s in t) for t in basic
-    }
-    return orbit_partition == arc_partition
-
-
-def rational_iso_test(n: int, s, r) -> bool:
-    """Isomorphism of two rational circulants: equality on every orbit set.
-
-    The orbits {x : gcd(x, n) = d}, d | n, partition Z_n, so that is set equality.
-    """
-    s = frozenset(x % n for x in s)
-    r = frozenset(x % n for x in r)
-    if not sring.is_trace_closed(n, s) or not sring.is_trace_closed(n, r):
-        raise NotRationalError(
-            "isomorphism testing here covers trace-closed sets only"
-        )
-    return s == r
-
-
-def count_rational_circulants(n: int) -> int:
-    """Number of loopless rational circulants on Z_n: 2^(tau(n) - 1)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return 2 ** (tau(n) - 1)
-
-
-# -- end-to-end cross validation ---------------------------------------------
 
 
 @frozen

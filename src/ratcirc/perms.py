@@ -12,9 +12,6 @@ from math import prod
 from operator import itemgetter
 
 from .arith import factorize
-from .errors import BoundExceededError
-
-MAX_TWO_ORBIT_DEGREE = 200
 
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -64,15 +61,6 @@ class Perm:
     @classmethod
     def identity(cls, n: int) -> "Perm":
         return cls._unchecked(tuple(range(n)))
-
-    @classmethod
-    def from_function(cls, n: int, fn) -> "Perm":
-        return cls(fn(x) % n for x in range(n))
-
-    @classmethod
-    def shift(cls, n: int, k: int) -> "Perm":
-        """The translation x -> x + k mod n."""
-        return cls._unchecked(tuple((x + k) % n for x in range(n)))
 
     @classmethod
     def transposition(cls, n: int, a: int, b: int) -> "Perm":
@@ -317,34 +305,6 @@ class PermutationGroup:
 
     def __contains__(self, g: Perm) -> bool:
         return self.sift(g).is_identity()
-
-    def two_orbits(self) -> tuple[frozenset[tuple[int, int]], ...]:
-        """Orbits of the coordinatewise action on ordered pairs.
-
-        Classes appear in order of their lexicographically smallest pair.
-        """
-        n = self.degree
-        if n > MAX_TWO_ORBIT_DEGREE:
-            raise BoundExceededError(f"degree {n} exceeds two-orbit bound {MAX_TWO_ORBIT_DEGREE}")
-        images = [g.image for g in self.generators]
-        seen = [False] * (n * n)
-        classes = []
-        for rep in range(n * n):
-            if seen[rep]:
-                continue
-            comp, stack = [], [rep]
-            seen[rep] = True
-            while stack:
-                code = stack.pop()
-                a, b = divmod(code, n)
-                comp.append((a, b))
-                for im in images:
-                    nxt = im[a] * n + im[b]
-                    if not seen[nxt]:
-                        seen[nxt] = True
-                        stack.append(nxt)
-            classes.append(frozenset(comp))
-        return tuple(classes)
 
 
 def is_subgroup_of(generators, group: PermutationGroup) -> bool:

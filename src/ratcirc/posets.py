@@ -1,4 +1,4 @@
-"""Weighted posets, ancestral sets, block partitions and lattice products.
+"""Weighted posets, the lattice-to-poset dictionary and the point bijection.
 
 The dictionary implemented here: a sublattice of the divisor lattice of n
 containing 1 and n corresponds to an increasing poset on [r] with integer
@@ -7,9 +7,8 @@ multiplying to n).  The lattice is distributive, so by Birkhoff's
 representation theorem (Davey & Priestley, *Introduction to Lattices and
 Order*, ch. 5) the poset is its join-irreducibles ordered by divisibility,
 read off ``DivisorLattice.peel``; the lattice members are the weight
-products over the down-sets.  Ancestral (up-closed) subsets index the
-partitions of the associated block structure on Z_n.  ``weak_iso_map`` is
-the point bijection between weight tuples and Z_n.
+products over the down-sets.  ``weak_iso_map`` is the point bijection
+between weight tuples and Z_n.
 
 Node labels are 0-based internally; JSON and DOT output use 1-based
 labels to match the usual diagram conventions.
@@ -17,12 +16,10 @@ labels to match the usual diagram conventions.
 from __future__ import annotations
 
 import math
-from itertools import permutations, product
 
 from ._record import frozen
 from .errors import InternalConsistencyError
-from .lattice import DivisorLattice, cover_pairs, hasse_dot, lattice_closure
-from .arith import factorize
+from .lattice import DivisorLattice, cover_pairs, hasse_dot
 
 
 @frozen
@@ -132,47 +129,12 @@ def chain(weights) -> WeightedPoset:
     return poset_from_pairs(ws, [(i, i + 1) for i in range(len(ws) - 1)])
 
 
-def poset_isomorphic(p: WeightedPoset, q: WeightedPoset) -> bool:
-    """Weighted-poset isomorphism by exhaustive relabeling; fine for small r."""
-    if p.size != q.size or sorted(p.weights) != sorted(q.weights):
-        return False
-    r = p.size
-    for perm in permutations(range(r)):
-        if all(p.weights[i] == q.weights[perm[i]] for i in range(r)) and all(
-            p.leq[i][j] == q.leq[perm[i]][perm[j]] for i in range(r) for j in range(r)
-        ):
-            return True
-    return False
-
-
-def ancestral_sets(p: WeightedPoset) -> tuple[frozenset[int], ...]:
-    """All up-closed subsets of a poset, ordered by (size, members)."""
-    r = p.size
-    found = []
-    for bits in range(1 << r):
-        members = frozenset(i for i in range(r) if bits >> i & 1)
-        if all(p.up_set(i) <= members for i in members):
-            found.append(members)
-    found.sort(key=lambda s: (len(s), sorted(s)))
-    return tuple(found)
-
-
 def complement_weight_product(p: WeightedPoset, j: frozenset[int]) -> int:
     out = 1
     for i in range(p.size):
         if i not in j:
             out *= p.weights[i]
     return out
-
-
-def poset_to_lattice(p: WeightedPoset) -> DivisorLattice:
-    """Lattice of weight products over all down-sets (complements of ancestral sets).
-
-    A down-set's product is the lcm of its principal down-sets' products: a
-    node in one but not another is incomparable to the other's nodes, so
-    their weights are coprime.  Hence the closure of the r principal products.
-    """
-    return lattice_closure(p.total, _principal_products(p))
 
 
 def _principal_products(p: WeightedPoset) -> tuple[int, ...]:
@@ -251,126 +213,10 @@ class TransportMap:
             )
         return tuple(points)
 
-    def tuple_to_point(self, t: tuple[int, ...]) -> int:
-        return sum(c * x for c, x in zip(self.coefficients, t)) % self.n
-
-    def point_to_tuple(self, v: int) -> tuple[int, ...]:
-        k, ws = self.points.index(v % self.n), self.poset.weights
-        return tuple(k // s % w for s, w in zip(_strides(ws), ws))
-
 
 def weak_iso_map(p: WeightedPoset) -> TransportMap:
     """The tuple-to-residue bijection for a valid weighted poset, verified when its points are read."""
     return TransportMap(p)
-
-
-@frozen
-class PartitionOfZn:
-    """Partition of Z_n into blocks, ordered by smallest member."""
-
-    n: int
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        elems = sorted(x for b in self.blocks for x in b)
-        if elems != list(range(self.n)):
-            raise ValueError("blocks do not partition Z_n")
-        if list(self.blocks) != sorted(self.blocks, key=min):
-            raise ValueError("blocks must be ordered by smallest member")
-
-    @classmethod
-    def of(cls, n: int, blocks) -> "PartitionOfZn":
-        return cls(n, tuple(sorted((frozenset(b) for b in blocks), key=min)))
-
-    @property
-    def is_uniform(self) -> bool:
-        sizes = {len(b) for b in self.blocks}
-        return len(sizes) == 1
-
-    def adjacency(self) -> np.ndarray:
-        import numpy as np
-
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for b in self.blocks:
-            idx = sorted(b)
-            for x in idx:
-                a[x, idx] = 1
-        return a
-
-
-def equality_partition(n: int) -> PartitionOfZn:
-    return PartitionOfZn.of(n, [{x} for x in range(n)])
-
-
-def universal_partition(n: int) -> PartitionOfZn:
-    return PartitionOfZn.of(n, [set(range(n))])
-
-
-def coset_partition(n: int, order: int) -> PartitionOfZn:
-    """Cosets of the subgroup of the given order in Z_n."""
-    if order < 1 or n % order != 0:
-        raise ValueError(f"no subgroup of order {order} in Z_{n}")
-    step = n // order
-    return PartitionOfZn.of(
-        n, [set(range(c, n, step)) for c in range(step)]
-    )
-
-
-def poset_block_partition(p: WeightedPoset, j) -> PartitionOfZn:
-    """Image on Z_n of the tuple partition 'agree on all coordinates in J'.
-
-    Equals the coset partition of the subgroup whose order is the product
-    of the weights outside J.
-    """
-    j = frozenset(j)
-    if not all(p.up_set(i) <= j for i in j):
-        raise ValueError(f"{sorted(j)} is not ancestral")
-    blocks: dict[tuple[int, ...], set[int]] = {}
-    tuples = product(*(range(w) for w in p.weights))
-    for t, v in zip(tuples, weak_iso_map(p).points):
-        key = tuple(t[i] for i in sorted(j))
-        blocks.setdefault(key, set()).add(v)
-    return PartitionOfZn.of(p.total, blocks.values())
-
-
-def orthogonality_check(e: PartitionOfZn, f: PartitionOfZn) -> bool:
-    """True iff the 0/1 relation matrices of the two partitions commute."""
-    if e.n != f.n:
-        raise ValueError("partitions live on different moduli")
-    import numpy as np
-
-    a, b = e.adjacency(), f.adjacency()
-    return bool(np.array_equal(a @ b, b @ a))
-
-
-def crested_product(l1: DivisorLattice, d: int, l2: DivisorLattice) -> DivisorLattice:
-    """Mixed crossing/nesting product of lattices at the pivot d in l2.
-
-    Members are products x*y with x = 1 and y in l2, or x in l1 and y in
-    l2 divisible by d.  Requires gcd(n1, n2/d) = 1; crossing is d = 1 and
-    nesting is d = n2.
-    """
-    n1, n2 = l1.modulus, l2.modulus
-    if d not in l2:
-        raise ValueError(f"pivot {d} is not a member of the second lattice")
-    if math.gcd(n1, n2 // d) != 1:
-        raise ValueError(f"gcd({n1}, {n2}/{d}) must be 1")
-    members = set(l2.elements)
-    members.update(x * y for x in l1.elements for y in l2.above(d).elements)
-    return DivisorLattice.of(n1 * n2, members)
-
-
-@frozen
-class SimplicityReport:
-    """Whether a lattice decomposes by crossing and nesting alone.
-
-    ``certificate`` is a 4-tuple of poset nodes (0-based) inducing the
-    obstructing N shape when the lattice is not simple.
-    """
-
-    is_simple: bool
-    certificate: tuple[int, int, int, int] | None
-    poset: WeightedPoset
 
 
 _N_PATTERN = poset_from_pairs((3, 2, 3, 2), [(0, 2), (1, 2), (1, 3)]).leq
@@ -404,28 +250,3 @@ def find_n_subposet(p: WeightedPoset) -> tuple[int, int, int, int] | None:
                             and lc[d] == n23 and ld[c] == n32):
                         return a, b, c, d
     return None
-
-
-def is_simple_lattice(lat: DivisorLattice) -> SimplicityReport:
-    """A lattice is simple iff its poset has no induced N subposet."""
-    p = lattice_to_poset(lat)
-    quad = find_n_subposet(p)
-    return SimplicityReport(quad is None, quad, p)
-
-
-def simple_reduction_applies(n: int) -> bool:
-    """True iff every sublattice for this modulus is simple.
-
-    Holds exactly when n is a prime power, a prime power times one other
-    prime, or a product of three distinct primes.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    exps = sorted(factorize(n).values(), reverse=True)
-    if len(exps) == 1:
-        return True
-    if len(exps) == 2 and exps[1] == 1:
-        return True
-    if exps == [1, 1, 1]:
-        return True
-    return False

@@ -71,14 +71,6 @@ def orbit_set(n: int, d: int) -> frozenset[int]:
     return orbit_union(n, (d,))
 
 
-def subgroup(n: int, order: int) -> frozenset[int]:
-    """The unique subgroup of Z_n of the given order (multiples of n/order)."""
-    if order < 1 or n % order != 0:
-        raise ValueError(f"no subgroup of order {order} in Z_{n}")
-    step = n // order
-    return frozenset(range(0, n, step))
-
-
 def units(n: int) -> tuple[int, ...]:
     """The residues in Z_n coprime to n, ascending; (0,) for n = 1.
 
@@ -98,11 +90,6 @@ def trace(n: int, s) -> frozenset[int]:
     and the sum of n/d over the orbits O_d met to enumerate them.
     """
     return orbit_union(n, {math.gcd(x, n) for x in s})
-
-
-def is_trace_closed(n: int, s) -> bool:
-    """True iff s mod n fills every orbit O_d it meets."""
-    return not _gcd_classes(n, frozenset(x % n for x in s))[1]
 
 
 def _gcd_classes(n: int, s: frozenset[int]) -> tuple[set[int], set[int]]:
@@ -125,48 +112,6 @@ class SchurRing:
     @property
     def rank(self) -> int:
         return len(self.basic_sets)
-
-    def is_union_of_classes(self, s) -> bool:
-        s = frozenset(s)
-        return all(t <= s or not (t & s) for t in self.basic_sets)
-
-    def structure_constants(self) -> dict[tuple[int, int, int], int]:
-        """Exact counts p[i,j,k] = #{(a,b) in T_i x T_j : a + b = x}, any x in T_k.
-
-        Raises if a count varies within a class, i.e. the partition is not
-        actually convolution-stable.
-        """
-        import numpy as np
-
-        n, r = self.n, self.rank
-        sets = [np.fromiter(t, dtype=np.int64) for t in self.basic_sets]
-        out: dict[tuple[int, int, int], int] = {}
-        for i in range(r):
-            for j in range(r):
-                sums = (sets[i][:, None] + sets[j][None, :]).ravel() % n
-                counts = np.bincount(sums, minlength=n)
-                for k in range(r):
-                    vals = counts[sets[k]]
-                    if vals.min() != vals.max():
-                        raise InternalConsistencyError(
-                            f"convolution of classes {i},{j} not constant on class {k}"
-                        )
-                    out[(i, j, k)] = int(vals[0])
-        return out
-
-    def validate(self) -> None:
-        """Check the Schur-ring axioms; raises ValueError on violation."""
-        n = self.n
-        all_elems = [x for t in self.basic_sets for x in t]
-        if sorted(all_elems) != list(range(n)):
-            raise ValueError("basic sets do not partition Z_n")
-        if self.basic_sets[0] != frozenset({0}):
-            raise ValueError("first basic set must be {0}")
-        family = set(self.basic_sets)
-        for t in self.basic_sets:
-            if frozenset((-x) % n for x in t) not in family:
-                raise ValueError(f"negation of {sorted(t)} is not a basic set")
-        self.structure_constants()
 
 
 def generate_sring(n: int, s) -> SchurRing:
@@ -380,32 +325,3 @@ def basic_sets_from_lattice(lat: DivisorLattice) -> RationalSRing:
     n = lat.modulus
     ds = divisors(n)
     return RationalSRing(_orbit_ring(n, [d % n for d in ds], _owners(n, lat.elements, ds)), lat)
-
-
-def generator_subset(lat: DivisorLattice, verify: bool = True) -> frozenset[int]:
-    """A trace-closed subset whose generated Schur ring has group basis ``lat``.
-
-    Walks ``lat.peel()`` from the bottom up.  At a step (top, m, s) the set
-    built so far generates the interval below m inside Z_m; it is embedded
-    as the subgroup of order m in Z_top and joined by the subgroup of
-    order s stripped of the one of order gcd(m, s).  The result never
-    contains 0 and is verified by closure unless disabled.
-    """
-    if not lat.is_unital:
-        raise ValueError("lattice must contain 1")
-    r: frozenset[int] = frozenset()
-    for n, m, s in reversed(lat.peel()):
-        # The interval below m needs a generator of Z_m on the correct side
-        # of r; switch to the complement in Z_m \ {0} when it is not.
-        unit_set = set(units(m))
-        if (not r & unit_set) if s < n else unit_set <= r:
-            r = frozenset(range(1, m)) - r
-        stripped = subgroup(n, s) - subgroup(n, math.gcd(m, s))
-        r = frozenset(x * (n // m) % n for x in r) | stripped
-    if verify:
-        got = group_basis(generate_sring(lat.modulus, r)).lattice
-        if got != lat:
-            raise InternalConsistencyError(
-                f"generator subset for {lat.elements} closed to {got.elements}"
-            )
-    return r

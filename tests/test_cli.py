@@ -17,7 +17,8 @@ import ratcirc
 from ratcirc import Perm, cli, gwp, sring
 from ratcirc.cli import AnalysisRequest, _analysis_payload, _dump_json, build_parser, main
 from ratcirc.groundtruth import CirculantGraph, spectrum
-from ratcirc.oracle import DEFAULT_MAX_ORACLE_N, full_verify
+from ratcirc.lattice import DEFAULT_MAX_ORACLE_N
+from ratcirc.oracle import full_verify
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -246,6 +247,19 @@ class TestAnalyze:
             calls.clear()
             assert run(capsys, *argv)[0] == 0
             assert len(calls) == 1, argv
+
+    def test_oracle_and_spectrum_share_one_graph(self, capsys, monkeypatch):
+        from ratcirc import groundtruth
+
+        graphs = []
+        for name in ("brute_force_aut", "spectrum"):
+            real = getattr(groundtruth, name)
+            monkeypatch.setattr(groundtruth, name,
+                                lambda g, real=real, **kw: graphs.append(g) or real(g, **kw))
+        code, out, _ = run(capsys, "analyze", "36", "--divisors", "2,3,4,6", "--oracle",
+                           "--spectrum")
+        assert code == 0 and "(match: True)" in out and "spectrum: integral=True" in out
+        assert len(graphs) == 2 and graphs[0] is graphs[1]
 
 
 # SHA-256 of the stdout of ``enumerate n --verify --format json``.
@@ -732,25 +746,24 @@ class TestGroundTruthIndependence:
 PUBLIC_API = {
     "errors": ("BoundExceededError", "InternalConsistencyError", "NotRationalError",
                "RatcircError"),
-    "lattice": ("ComplementIdentityWitness", "DivisorLattice", "complement_identity_check",
-                "divisors", "full_lattice", "lattice_closure", "sublattices", "tau",
-                "trivial_lattice"),
+    "lattice": ("DivisorLattice", "divisors", "lattice_closure", "tau"),
     "perms": ("Perm", "PermutationGroup", "is_subgroup_of"),
     "sring": ("RationalSRing", "SchurRing", "basic_sets_from_lattice", "generate_sring",
-              "generator_subset", "group_basis", "is_rational", "is_trace_closed", "orbit_set",
-              "orbit_union", "subgroup", "trace"),
-    "posets": ("PartitionOfZn", "SimplicityReport", "TransportMap", "WeightedPoset",
-               "ancestral_sets", "antichain", "chain", "coset_partition",
-               "crested_product", "equality_partition", "is_simple_lattice", "lattice_to_poset",
-               "orthogonality_check", "poset_block_partition", "poset_from_pairs",
-               "poset_isomorphic", "poset_to_lattice", "simple_reduction_applies",
-               "universal_partition", "weak_iso_map"),
+              "group_basis", "is_rational", "orbit_set", "orbit_union", "trace"),
+    "posets": ("TransportMap", "WeightedPoset", "antichain", "chain", "lattice_to_poset",
+               "poset_from_pairs", "weak_iso_map"),
     "gwp": ("GroupExpression", "gwp_generators", "gwp_order", "render_group_expression",
             "transport"),
     "groundtruth": ("CirculantGraph", "SpectrumReport", "brute_force_aut", "ramanujan_sum",
                     "spectrum"),
-    "oracle": ("VerifyRecord", "VerifyReport", "count_rational_circulants", "full_verify",
-               "pipeline_order", "rational_iso_test", "schurity_check"),
+    "oracle": ("VerifyRecord", "VerifyReport", "full_verify", "pipeline_order"),
+    "claims": ("ComplementIdentityWitness", "PartitionOfZn", "SimplicityReport",
+               "ancestral_sets", "complement_identity_check", "coset_partition",
+               "count_rational_circulants", "crested_product", "full_lattice",
+               "generator_subset", "is_simple_lattice", "is_trace_closed",
+               "orthogonality_check", "poset_block_partition", "poset_isomorphic",
+               "poset_to_lattice", "rational_iso_test", "schurity_check",
+               "simple_reduction_applies", "sublattices", "subgroup", "trivial_lattice"),
 }
 
 

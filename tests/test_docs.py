@@ -7,7 +7,7 @@ import importlib
 import re
 from pathlib import Path
 
-from ratcirc import gwp, lattice, oracle, perms, sring
+from ratcirc import claims, gwp, lattice, sring
 from ratcirc.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -15,8 +15,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 BOUNDS = {
     "lattice.MAX_MODULUS": lattice.MAX_MODULUS,
     "lattice.DEFAULT_MAX_TAU": lattice.DEFAULT_MAX_TAU,
-    "perms.MAX_TWO_ORBIT_DEGREE": perms.MAX_TWO_ORBIT_DEGREE,
-    "oracle.DEFAULT_MAX_ORACLE_N": oracle.DEFAULT_MAX_ORACLE_N,
+    "claims.MAX_TWO_ORBIT_DEGREE": claims.MAX_TWO_ORBIT_DEGREE,
+    "lattice.DEFAULT_MAX_ORACLE_N": lattice.DEFAULT_MAX_ORACLE_N,
     "gwp.MAX_GENERATOR_ENTRIES": gwp.MAX_GENERATOR_ENTRIES,
     "sring.MAX_POINT_N": sring.MAX_POINT_N,
     "sring.MAX_POINT_PAIRS": sring.MAX_POINT_PAIRS,

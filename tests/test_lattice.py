@@ -15,7 +15,7 @@ from ratcirc import (
     tau,
     trivial_lattice,
 )
-from ratcirc import posets, sring
+from ratcirc import claims
 
 
 def brute_divisors(n):
@@ -191,8 +191,8 @@ class TestValidation:
     @pytest.mark.parametrize("call", [
         lambda: DivisorLattice(6, (0, 6)),
         lambda: DivisorLattice.of(6, [0, 1, 6]),
-        lambda: sring.subgroup(6, 0),
-        lambda: posets.coset_partition(6, 0),
+        lambda: claims.subgroup(6, 0),
+        lambda: claims.coset_partition(6, 0),
     ], ids=["DivisorLattice", "DivisorLattice.of", "subgroup", "coset_partition"])
     def test_zero_is_not_a_divisor(self, call):
         # A value error, not a ZeroDivisionError from n % 0.

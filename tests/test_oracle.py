@@ -18,6 +18,7 @@ from ratcirc import (
     divisors,
     full_verify,
     is_subgroup_of,
+    is_trace_closed,
     orbit_set,
     orbit_union,
     pipeline_order,
@@ -111,10 +112,6 @@ class TestCirculantGraph:
     def test_rejects_loops(self):
         with pytest.raises(ValueError):
             CirculantGraph.of(6, {0, 1})
-
-    def test_undirected_predicate(self):
-        assert CirculantGraph.of(6, {1, 5}).is_undirected
-        assert not CirculantGraph.of(5, {1}).is_undirected
 
     def test_masks_consistent(self):
         g = CirculantGraph.of(5, {1, 2})
@@ -335,7 +332,7 @@ class TestSpectrum:
         if data.draw(st.booleans(), label="close"):
             s = sring.trace(n, s)
         rep = spectrum(CirculantGraph.of(n, s))
-        assert rep.integral == rep.exact == sring.is_trace_closed(n, s)
+        assert rep.integral == rep.exact == is_trace_closed(n, s)
 
 
 def per_frequency_eigenvalues(n: int, ds, memo: dict) -> list[int]:
@@ -452,7 +449,7 @@ class TestFullVerify:
     def test_non_rational_diagnostic_matches_per_element_traces(self, data):
         n = data.draw(st.integers(min_value=2, max_value=60))
         s = data.draw(st.sets(st.integers(min_value=1, max_value=n - 1), min_size=1))
-        assume(not sring.is_trace_closed(n, s))
+        assume(not is_trace_closed(n, s))
         with pytest.raises(NotRationalError) as err:
             rational_chain(n, s)
         assert str(err.value) == reference_diagnostic(n, s)

@@ -15,7 +15,18 @@ from ratcirc import (
     transport,
 )
 from ratcirc.arith import factored_value
+from ratcirc.claims import two_orbits
 from ratcirc.perms import _compose, _invert
+
+
+def shift(n, k):
+    """The translation x -> x + k mod n."""
+    return Perm(tuple((x + k) % n for x in range(n)))
+
+
+def negation(n):
+    """The map x -> -x mod n."""
+    return Perm(tuple(-x % n for x in range(n)))
 
 
 class TestPerm:
@@ -29,7 +40,7 @@ class TestPerm:
         assert (g * h).image == tuple(h.image[g.image[x]] for x in range(3))
 
     def test_translation_has_order_n(self):
-        t = Perm.shift(6, 1)
+        t = shift(6, 1)
         g, k = t, 1
         while not g.is_identity():
             g, k = g * t, k + 1
@@ -71,8 +82,8 @@ class TestPerm:
     def test_component_action_on_z36(self):
         # x -> x+4 and negation generate the full symmetric action on the
         # three residue classes mod 3
-        g4 = Perm.shift(36, 4)
-        g5 = Perm.from_function(36, lambda x: -x)
+        g4 = shift(36, 4)
+        g5 = negation(36)
         induced = []
         for g in (g4, g5):
             comp = []
@@ -86,7 +97,7 @@ class TestPerm:
 class TestGroupOrder:
     def test_cyclic(self):
         for n in (3, 6, 11):
-            assert PermutationGroup(n, [Perm.shift(n, 1)]).order() == n
+            assert PermutationGroup(n, [shift(n, 1)]).order() == n
 
     def test_symmetric_from_transpositions(self):
         gens = [Perm.transposition(4, a, b) for a in range(4) for b in range(a + 1, 4)]
@@ -113,7 +124,7 @@ class TestGroupOrder:
 
     def test_dihedral_matches_enumeration(self):
         n = 14
-        gens = [Perm.shift(n, 1), Perm.from_function(n, lambda x: -x)]
+        gens = [shift(n, 1), negation(n)]
         G = PermutationGroup(n, gens)
         closure = {Perm.identity(n)}
         frontier = [Perm.identity(n)]
@@ -229,51 +240,51 @@ class TestGroupOrder:
 
 class TestMembership:
     def test_contains_generators(self):
-        gens = [Perm.shift(6, 2), Perm.from_function(6, lambda x: -x)]
+        gens = [shift(6, 2), negation(6)]
         G = PermutationGroup(6, gens)
         assert is_subgroup_of(gens, G)
 
     def test_transposition_not_in_cyclic(self):
-        G = PermutationGroup(6, [Perm.shift(6, 1)])
+        G = PermutationGroup(6, [shift(6, 1)])
         assert Perm.transposition(6, 0, 1) not in G
 
     def test_regular_cyclic_below_full(self):
         gens = [Perm.transposition(5, a, a + 1) for a in range(4)]
         G = PermutationGroup(5, gens)
-        assert is_subgroup_of([Perm.shift(5, 1)], G)
+        assert is_subgroup_of([shift(5, 1)], G)
 
 
 class TestTwoOrbits:
     def test_symmetric_group_has_two_classes(self):
         gens = [Perm.transposition(5, a, a + 1) for a in range(4)]
-        parts = PermutationGroup(5, gens).two_orbits()
+        parts = two_orbits(PermutationGroup(5, gens))
         assert len(parts) == 2
         sizes = sorted(len(p) for p in parts)
         assert sizes == [5, 20]
 
     def test_regular_cyclic_one_class_per_difference(self):
         n = 7
-        parts = PermutationGroup(n, [Perm.shift(n, 1)]).two_orbits()
+        parts = two_orbits(PermutationGroup(n, [shift(n, 1)]))
         assert len(parts) == n
         for p in parts:
             diffs = {(y - x) % n for x, y in p}
             assert len(diffs) == 1
 
     def test_classes_invariant_under_generators(self):
-        gens = [Perm.shift(8, 2), Perm.from_function(8, lambda x: -x)]
+        gens = [shift(8, 2), negation(8)]
         G = PermutationGroup(8, gens)
-        for p in G.two_orbits():
+        for p in two_orbits(G):
             for g in gens:
                 assert frozenset((g.image[x], g.image[y]) for x, y in p) == p
 
     def test_bound(self):
         with pytest.raises(BoundExceededError):
-            PermutationGroup(201, [Perm.shift(201, 1)]).two_orbits()
+            two_orbits(PermutationGroup(201, [shift(201, 1)]))
 
 
 class TestSift:
     def test_residue_identity_iff_member(self):
-        gens = [Perm.shift(6, 1)]
+        gens = [shift(6, 1)]
         G = PermutationGroup(6, gens)
-        assert G.sift(Perm.shift(6, 4)).is_identity()
-        assert not G.sift(Perm.from_function(6, lambda x: -x)).is_identity()
+        assert G.sift(shift(6, 4)).is_identity()
+        assert not G.sift(negation(6)).is_identity()

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from ratcirc import (
     DivisorLattice,
     InternalConsistencyError,
+    PartitionOfZn,
     WeightedPoset,
     ancestral_sets,
     antichain,
     chain,
     coset_partition,
     crested_product,
-    equality_partition,
     divisors,
     full_lattice,
     is_simple_lattice,
@@ -28,10 +28,14 @@ from ratcirc import (
     sublattices,
     tau,
     trivial_lattice,
-    universal_partition,
     weak_iso_map,
 )
-from ratcirc.posets import _N_PATTERN, PartitionOfZn, complement_weight_product, find_n_subposet
+from ratcirc.posets import _N_PATTERN, complement_weight_product, find_n_subposet
+
+
+def to_point(tm, t):
+    """The coefficient form: the residue of the weight tuple t under the map tm."""
+    return sum(c * x for c, x in zip(tm.coefficients, t)) % tm.n
 
 
 def reference_find_n_subposet(p):
@@ -217,13 +221,13 @@ class TestWeakIsoMap:
     def test_chain_coefficients_and_bijection(self):
         tm = weak_iso_map(chain((3, 2)))
         assert tm.coefficients == (2, 1)
-        images = {tm.tuple_to_point((x, y)) for x in range(3) for y in range(2)}
+        images = {to_point(tm, (x, y)) for x in range(3) for y in range(2)}
         assert images == set(range(6))
 
     def test_inverse(self, poset_n):
         tm = weak_iso_map(poset_n)
-        for t in product(range(3), range(2), range(3), range(2)):
-            assert tm.point_to_tuple(tm.tuple_to_point(t)) == t
+        for k, t in enumerate(product(range(3), range(2), range(3), range(2))):
+            assert tm.points.index(to_point(tm, t)) == k
 
     def test_bijectivity_is_checked_when_points_are_read(self):
         tm = weak_iso_map(chain((3, 2)))
@@ -238,18 +242,23 @@ class TestWeakIsoMap:
                 tm.points  # the point table raises when the map is not bijective
                 tuples = product(*(range(w) for w in tm.poset.weights))
                 for k, t in enumerate(tuples):
-                    v = sum(c * x for c, x in zip(tm.coefficients, t)) % n
+                    v = to_point(tm, t)
                     assert tm.points[k] == v, (lat.elements, t)
-                    assert tm.point_to_tuple(v) == t
+                    assert tm.points.index(v) == k
 
 
 class TestPosetBlockPartition:
     def test_full_set_is_equality(self, poset_n):
         part = poset_block_partition(poset_n, {0, 1, 2, 3})
-        assert part == equality_partition(36)
+        assert part == coset_partition(36, 1)
 
     def test_empty_set_is_universal(self, poset_n):
-        assert poset_block_partition(poset_n, frozenset()) == universal_partition(36)
+        assert poset_block_partition(poset_n, frozenset()) == coset_partition(36, 36)
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 12, 36])
+    def test_orders_one_and_n_give_equality_and_universal(self, n):
+        assert coset_partition(n, 1) == PartitionOfZn.of(n, [{x} for x in range(n)])
+        assert coset_partition(n, n) == PartitionOfZn.of(n, [set(range(n))])
 
     def test_coset_image(self, poset_n):
         # ancestral {0,2,3}: complement weight 2, so cosets of the order-2 subgroup
@@ -297,15 +306,11 @@ class TestOrthogonality:
 
     def test_equality_with_anything(self):
         f = PartitionOfZn.of(6, [{0, 1, 4}, {2}, {3, 5}])
-        assert orthogonality_check(equality_partition(6), f)
+        assert orthogonality_check(coset_partition(6, 1), f)
 
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
-            orthogonality_check(equality_partition(4), equality_partition(5))
-
-    def test_uniformity_predicate(self):
-        assert coset_partition(12, 4).is_uniform
-        assert not PartitionOfZn.of(6, [{0, 1, 4}, {2}, {3, 5}]).is_uniform
+            orthogonality_check(coset_partition(4, 1), coset_partition(5, 1))
 
 
 class TestCrestedProduct:

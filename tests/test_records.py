@@ -189,7 +189,7 @@ def test_public_records_bind_by_keyword():
     assert repr(lat) == "DivisorLattice(modulus=12, elements=(1, 2, 3, 6, 12))"
     req = cli.AnalysisRequest(n=6, residues=frozenset({1}), divisor_subset=None)
     assert (req.include_generators, req.max_oracle_n) == (
-        False, ratcirc.oracle.DEFAULT_MAX_ORACLE_N)
+        False, ratcirc.lattice.DEFAULT_MAX_ORACLE_N)
     with pytest.raises(TypeError, match="multiple values for argument 'modulus'"):
         ratcirc.DivisorLattice(12, modulus=12)
     with pytest.raises(TypeError, match="missing 'modulus', 'elements'"):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from ratcirc import InternalConsistencyError, full_verify
-from ratcirc.oracle import DEFAULT_MAX_ORACLE_N
+from ratcirc.lattice import DEFAULT_MAX_ORACLE_N
 
 REPO = Path(__file__).resolve().parent.parent
 
