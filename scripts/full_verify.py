@@ -18,6 +18,7 @@ import sys
 import time
 
 from ratcirc import BoundExceededError, InternalConsistencyError, full_verify
+from ratcirc.cli import non_negative_int
 from ratcirc.lattice import DEFAULT_MAX_ORACLE_N
 
 
@@ -25,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("lo", type=int, help="first modulus (inclusive)")
     ap.add_argument("hi", type=int, help="last modulus (inclusive)")
-    ap.add_argument("--max-oracle-n", type=int, default=DEFAULT_MAX_ORACLE_N)
+    ap.add_argument("--max-oracle-n", type=non_negative_int, default=DEFAULT_MAX_ORACLE_N)
     ap.add_argument("--out", help="path for the JSON report")
     return ap
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from operator import itemgetter
 
 from ._record import frozen
 from .arith import factored_str, factored_value_below
@@ -121,7 +122,7 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
     if req.include_generators or req.run_oracle:
         gens = gwp.transport(gwp.gwp_generators(poset), poset)
         if req.include_generators:
-            payload["generators"] = [g.image for g in gens]
+            payload["generators"] = _Images(g.image for g in gens)
 
     if req.run_oracle or req.run_spectrum:
         graph = groundtruth.CirculantGraph.of(n, connection)
@@ -192,47 +193,57 @@ def _analysis_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Images(list):
+    """The image tuples of ``Perm``s of degree at least 2, each a permutation of 0..len - 1.
+
+    ``json`` writes it as a list; ``_dump_json`` writes each image with one
+    gather from a table of ``str(k)``, with no type or range check.
+    """
+
+
 def _dump_json(payload: dict):
     """The pieces of ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline.
 
     Joined, they equal that string byte for byte; written one by one, they
     never hold the whole document in memory.  Given an indent, ``json`` uses
     its pure-Python encoder, so the layout is written here: a list of plain
-    ints is joined directly, and every other leaf goes through
-    ``json.dumps``.  A list of plain ints in [0, len) (a permutation image)
-    reads its decimals from one table of ``str(k)``, grown to the longest
-    such list and shared by the whole document.  ``json`` is imported here,
-    so text output and rejections never load it.
+    ints is joined directly, the images of an ``_Images`` list read their
+    decimals from one table, and every other leaf goes through
+    ``json.dumps``.  ``json`` is imported here, so text output and
+    rejections never load it.
     """
     import json
 
-    yield from _json_pieces(payload, "\n", json.dumps, [])
+    yield from _json_pieces(payload, "\n", json.dumps)
     yield "\n"
 
 
-def _json_pieces(value, newline: str, dumps, decimals: list[str]):
+def _json_pieces(value, newline: str, dumps):
     """The JSON pieces of ``value``, nested at the indent ``newline`` ends with."""
     inner = newline + "  "
-    if isinstance(value, (list, tuple)) and value:
+    if type(value) is _Images and value:
+        decimals = list(map(str, range(max(map(len, value)))))
+        sep, deeper = "[" + inner, inner + "  "
+        for image in value:
+            text = ("," + deeper).join(itemgetter(*image)(decimals))
+            yield sep + "[" + deeper + text + inner + "]"
+            sep = "," + inner
+        yield newline + "]"
+    elif isinstance(value, (list, tuple)) and value:
         if set(map(type, value)) == {int}:
-            if min(value) >= 0 and max(value) < len(value):
-                decimals.extend(map(str, range(len(decimals), len(value))))
-                text = map(decimals.__getitem__, value)
-            else:
-                text = map(str, value)
-            yield "[" + inner + ("," + inner).join(text) + newline + "]"
+            yield "[" + inner + ("," + inner).join(map(str, value)) + newline + "]"
             return
         sep = "[" + inner
         for x in value:
             yield sep
-            yield from _json_pieces(x, inner, dumps, decimals)
+            yield from _json_pieces(x, inner, dumps)
             sep = "," + inner
         yield newline + "]"
     elif isinstance(value, dict) and value and all(type(k) is str for k in value):
         sep = "{" + inner
         for key in sorted(value):
             yield sep + dumps(key) + ": "
-            yield from _json_pieces(value[key], inner, dumps, decimals)
+            yield from _json_pieces(value[key], inner, dumps)
             sep = "," + inner
         yield newline + "}"
     else:
@@ -291,6 +302,17 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+def non_negative_int(text: str) -> int:
+    """An argparse type: a decimal integer of at least 0, with ``int``'s error text."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", help="comma separated residues of the connection set")
     p.add_argument(
@@ -313,14 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--generators", action="store_true", help="include permutation generators")
     pa.add_argument("--oracle", action="store_true", help="confirm the order by brute force")
     pa.add_argument("--spectrum", action="store_true", help="include the eigenvalue report")
-    pa.add_argument("--max-oracle-n", type=int, default=DEFAULT_MAX_ORACLE_N)
+    pa.add_argument("--max-oracle-n", type=non_negative_int, default=DEFAULT_MAX_ORACLE_N)
     pa.set_defaults(func=_cmd_analyze)
 
     pe = sub.add_parser("enumerate", help="walk all divisor subsets of n")
     pe.add_argument("n", type=int)
     pe.add_argument("--verify", action="store_true", help="compare with the brute-force oracle")
     pe.add_argument("--format", choices=("json", "text"), default="text")
-    pe.add_argument("--max-oracle-n", type=int, default=DEFAULT_MAX_ORACLE_N)
+    pe.add_argument("--max-oracle-n", type=non_negative_int, default=DEFAULT_MAX_ORACLE_N)
     pe.set_defaults(func=_cmd_enumerate)
 
     pd = sub.add_parser("export-dot", help="DOT Hasse diagram of the derived lattice")

@@ -5,7 +5,9 @@ the symmetric group on its weight, chosen independently for every value
 of the projection onto the strict ancestors of i.  Generators are one
 adjacent transposition per coordinate per ancestor pattern, which is
 enough to generate the whole product while keeping the generating set
-linear in the degree.  ``transport`` conjugates the action onto Z_n via
+linear in the degree.  Each generator declares its support, the points it
+swaps, so ``transport`` and its check pay per moved point, not per point
+of Z_n.  ``transport`` conjugates the action onto Z_n via
 the coefficient bijection and checks that it keeps the group block
 structure of the poset's lattice L: the coset partition of Z_l for every
 l in L.  That is the same check as one against every basic Cayley graph
@@ -102,8 +104,9 @@ def gwp_generators(p: WeightedPoset, *, max_degree: int | None = None) -> list[p
     Once per node i, before its images, the 2 |offsets| positions f and
     f + stride_i must be distinct and, shifted by every lo, lie in Z_n:
     then each image is a product of disjoint transpositions, a permutation,
-    and is stored unchecked.  The check reads the offsets, not n points per
-    image, and raises ``InternalConsistencyError`` when it fails.
+    and is stored unchecked with those 2 |offsets| swapped points declared
+    as its support.  The check reads the offsets, not n points per image,
+    and raises ``InternalConsistencyError`` when it fails.
     The sum m_i (w_i - 1) images of degree n are refused before the first is
     built when they hold more than ``MAX_GENERATOR_ENTRIES`` entries.
     ``max_degree`` is ignored; it is accepted because ``bench/baseline.py``
@@ -141,15 +144,17 @@ def gwp_generators(p: WeightedPoset, *, max_degree: int | None = None) -> list[p
                 f"the swaps of poset node {i + 1} (stride {si}) "
                 f"are not disjoint transpositions of Z_{n}"
             )
+        half = len(offsets)
         for u in product(*(range(weights[j]) for j in anc)):
             start = sum(x * strides[j] for x, j in zip(u, anc))
             for k in range(weights[i] - 1):
                 lo = start + k * si
+                support = [points[lo + x] for x in swapped]
                 image = list(points)
-                for f in offsets:
-                    image[lo + f] = lo + f + si
-                    image[lo + f + si] = lo + f
-                gens.append(perms.Perm._unchecked(tuple(image)))
+                # the first half swaps with the second
+                for x, y in zip(support, support[half:] + support[:half]):
+                    image[x] = y
+                gens.append(perms.Perm._unchecked(tuple(image), tuple(support)))
     return gens
 
 
@@ -158,22 +163,33 @@ def transport(
 ) -> list[perms.Perm]:
     """Conjugate generators from tuple space onto Z_n via the coefficient map.
 
-    The image of point y is to_zn[g(from_zn[y])], read by two itemgetter
-    lookups.  Each input is a ``Perm`` of degree n and the point table is a
-    bijection, checked once when ``TransportMap.points`` is built, so every
-    composite is a permutation and is stored unchecked.  With verification
-    on, every transported generator must permute the cosets of Z_l for each
-    l in the poset's lattice (so it preserves every basic Cayley graph); a
+    The image maps to_zn[x] to to_zn[g(x)]: it is written into a copy of
+    the identity from g's support alone, so it costs one n-entry copy plus
+    |support| steps, and the to_zn images of the support are declared as
+    its support.  An input that declares none finds its support by one scan.
+    Each input is a ``Perm`` of degree n and the point table is a bijection,
+    checked once when ``TransportMap.points`` is built, so every result is a
+    permutation and is stored unchecked.  With verification on, every
+    transported generator must permute the cosets of Z_l for each l in the
+    poset's lattice (so it preserves every basic Cayley graph), which costs
+    |support| * r steps per generator over the r join-irreducibles; a
     failure means the pipeline is inconsistent.
     """
     to_zn = weak_iso_map(p).points
-    from_zn = perms._invert(to_zn)
     n = p.total
+    points = tuple(range(n))  # every image shares these int objects
     out = []
     for g in tuple_gens:
-        if len(g.image) != n:
+        image = g.image
+        if len(image) != n:
             raise ValueError("degree mismatch")
-        out.append(perms.Perm._unchecked(perms._compose(from_zn, perms._compose(g.image, to_zn))))
+        h = list(points)
+        moved = []
+        for x in g.support:
+            z = to_zn[x]
+            h[z] = to_zn[image[x]]
+            moved.append(z)
+        out.append(perms.Perm._unchecked(tuple(h), tuple(moved)))
 
     if verify:
         _check_block_structure(out, p)
@@ -183,7 +199,8 @@ def transport(
 def _check_block_structure(gens, p: WeightedPoset) -> None:
     """Raise unless each permutation permutes the cosets of Z_l for every inner l of p's lattice.
 
-    Only the r join-irreducibles are checked, which is exact, and the error
+    Only the r join-irreducibles are checked, which is exact, and only the
+    support of each permutation is read: |support| * r steps.  The error
     names the first failing generator and the least join-irreducible it
     breaks, which is the least member of the lattice it breaks (see the
     module docstring).
@@ -191,8 +208,9 @@ def _check_block_structure(gens, p: WeightedPoset) -> None:
     n = p.total
     members = _principal_products(p)
     for g in gens:
-        support = [x for x, y in enumerate(g.image) if x != y]
-        failed = [l for l in members if not _permutes_cosets(g, support, n, l)]
+        support = g.support
+        targets = [g.image[x] for x in support]
+        failed = [l for l in members if not _permutes_cosets(support, targets, n, l)]
         if failed:
             raise InternalConsistencyError(
                 f"transported generator {g} does not permute the cosets "
@@ -200,21 +218,26 @@ def _check_block_structure(gens, p: WeightedPoset) -> None:
             )
 
 
-def _permutes_cosets(g, support: list[int], n: int, l: int) -> bool:
-    """Whether g maps each coset of Z_l into one coset.
+def _permutes_cosets(support, targets: list[int], n: int, l: int) -> bool:
+    """Whether a permutation g maps each coset of Z_l into one coset.
 
-    The cosets of Z_l are the residue classes mod n/l, all of size l, so g
+    ``targets`` holds g(x) for each x in the support of g, in order.  The
+    cosets of Z_l are the residue classes mod n/l, all of size l, so g
     permutes them when each class maps into one class.  A class that holds a
     fixed point (fewer than l moved points) must map into itself, so only
     the support of g is read.
     """
     m = n // l
     images: dict[int, list[int]] = {}  # class mod m -> its moved points' images mod m
-    for x in support:
-        images.setdefault(x % m, []).append(g.image[x] % m)
+    for x, y in zip(support, targets):
+        c = x % m
+        if c in images:
+            images[c].append(y % m)
+        else:
+            images[c] = [y % m]
     for c, targets in images.items():
         want = c if len(targets) < l else targets[0]
-        if any(t != want for t in targets):
+        if targets.count(want) != len(targets):
             return False
     return True
 

@@ -1,10 +1,12 @@
 """Permutations and permutation groups on {0, ..., n-1}.
 
 Composition is left to right: ``(g * h)(x) == h(g(x))``, i.e. points are
-acted on from the right.  Groups carry a deterministic Schreier-Sims
-stabilizer chain, built lazily on first query.  Chain construction
-mutates internal state once; afterwards the group value is immutable and
-safe to share (build-then-freeze).
+acted on from the right.  A permutation knows its support, the points it
+moves: declared by the code that wrote the image, or found by one scan on
+first read.  Groups carry a deterministic Schreier-Sims stabilizer chain,
+built lazily on first query.  Chain construction mutates internal state
+once; afterwards the group value is immutable and safe to share
+(build-then-freeze).
 """
 from __future__ import annotations
 
@@ -33,9 +35,16 @@ def _first_moved(a: tuple[int, ...]) -> int:
 
 
 class Perm:
-    """A permutation of {0, ..., n-1} stored as its image tuple."""
+    """A permutation of {0, ..., n-1} stored as its image tuple.
 
-    __slots__ = ("image",)
+    ``support`` is the tuple of moved points, each once.  Only code that
+    writes an image from its moved points declares it, through
+    ``_unchecked``, and the declared support must be exactly the points the
+    image moves; any other ``Perm`` finds it by one scan of the image on
+    first read.  Equality, hashing and repr read the image alone.
+    """
+
+    __slots__ = ("image", "_support")
 
     def __init__(self, image) -> None:
         """Validate ``image``: n distinct ints, the least 0 and the greatest n - 1."""
@@ -44,18 +53,21 @@ class Perm:
         if n and not (set(map(type, img)) == {int} and len(set(img)) == n
                       and min(img) == 0 and max(img) == n - 1):
             raise ValueError(f"not a permutation of 0..{n - 1}: {img}")
-        object.__setattr__(self, "image", img)
+        self.image = img
+        self._support = None
 
     @classmethod
-    def _unchecked(cls, image: tuple[int, ...]) -> "Perm":
+    def _unchecked(cls, image: tuple[int, ...], support: tuple[int, ...] | None = None) -> "Perm":
         """Wrap ``image`` without validation: the caller guarantees a permutation.
 
         Each caller builds the tuple as one: a composition or inverse of
-        permutations, or disjoint swaps in a copy of range(n).  Input from
-        outside goes through ``Perm(...)``.
+        permutations, or disjoint swaps in a copy of range(n).  A caller that
+        wrote the image from its moved points passes them as ``support``.
+        Input from outside goes through ``Perm(...)``.
         """
         p = object.__new__(cls)
-        object.__setattr__(p, "image", image)
+        p.image = image
+        p._support = support
         return p
 
     @classmethod
@@ -71,6 +83,13 @@ class Perm:
     @property
     def degree(self) -> int:
         return len(self.image)
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        """The moved points: as declared, else ascending from one scan, kept."""
+        if self._support is None:
+            self._support = tuple(x for x, y in enumerate(self.image) if x != y)
+        return self._support
 
     def __call__(self, x: int) -> int:
         return self.image[x]

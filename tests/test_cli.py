@@ -443,6 +443,25 @@ class TestRequestValidation:
         assert (done.returncode, done.stdout, done.stderr) == (
             2, "", "error: n must be at most 2^32\n")
 
+    @pytest.mark.parametrize("argv", [
+        "analyze 6 --divisors 2 --oracle --max-oracle-n -1",
+        "enumerate 6 --verify --max-oracle-n -1",
+    ])
+    def test_negative_max_oracle_n_is_rejected_when_parsed(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith(": error: argument --max-oracle-n: must be at least 0, got -1\n")
+
+    @pytest.mark.parametrize("bound", [0, 1])
+    def test_max_oracle_n_zero_and_one_stay_legal(self, capsys, bound):
+        args = build_parser().parse_args(["analyze", "6", "--set", "1", "--max-oracle-n", str(bound)])
+        assert args.max_oracle_n == bound
+        code, out, err = run(capsys, "enumerate", "6", "--verify", "--max-oracle-n", str(bound))
+        assert (code, err) == (0, f"note: oracle skipped, n=6 exceeds bound {bound}\n")
+        assert out.endswith("rational circulants on Z_6\n")
+
     def test_max_oracle_n_defaults_follow_the_oracle_bound(self):
         parser = build_parser()
         assert parser.parse_args(["analyze", "6", "--set", "1"]).max_oracle_n == DEFAULT_MAX_ORACLE_N
@@ -547,7 +566,13 @@ class TestDumpJson:
         # A non-trace-closed set has the float-pair spectrum.
         floats = dict(exact, spectrum=spectrum(CirculantGraph.of(12, {1, 2})).to_json_dict())
         assert not floats["spectrum"]["exact"]
-        for payload in (exact, floats):
+        # The generators-mid images are longer than any earlier table; n = 2 has degree-2 images.
+        wide = [_analysis_payload(AnalysisRequest(n=n, residues=None, divisor_subset=d,
+                                                  include_generators=True))
+                for n, d in [(200, (2, 4, 5, 8, 25)), (288, (2, 3, 4, 9, 16)),
+                             (360, (2, 3, 5, 8, 9)), (2, (1,))]]
+        assert [len(p["generators"][0]) for p in wide] == [200, 288, 360, 2]
+        for payload in (exact, floats, *wide):
             assert "".join(_dump_json(payload)) == reference_dump(payload)
 
     def test_enumerate_report(self):

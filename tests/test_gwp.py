@@ -30,6 +30,7 @@ from ratcirc import gwp
 from ratcirc.arith import factored_value
 from ratcirc.gwp import GroupExpression, gwp_exponents
 from ratcirc.claims import two_orbits
+from ratcirc.perms import _compose, _invert
 from ratcirc.posets import _strides, find_n_subposet, weak_iso_map
 from ratcirc.sring import basic_sets_from_lattice
 
@@ -317,6 +318,22 @@ class TestTransport:
         tm = weak_iso_map(p)
         assert tm.coefficients and len(tables) == 1  # the coefficients build no table
         assert tm.points is tm.points and tables[1:] == [tm]
+
+    def test_declared_supports_are_the_moved_points(self):
+        # The generators and their transports declare their support, and
+        # transport equals the composition from_zn . g . to_zn it replaced.
+        for n in range(2, 49):
+            for lat in sublattices(n):
+                p = lattice_to_poset(lat)
+                to_zn = weak_iso_map(p).points
+                from_zn = _invert(to_zn)
+                gens = gwp_generators(p)
+                for g, h in zip(gens, transport(gens, p), strict=True):
+                    for perm in (g, h):
+                        moved = [x for x, y in enumerate(perm.image) if x != y]
+                        assert perm._support is not None, (n, lat.elements)
+                        assert sorted(perm._support) == moved, (n, lat.elements)
+                    assert h.image == _compose(from_zn, _compose(g.image, to_zn)), (n, lat.elements)
 
     def test_degree_mismatch(self, poset_n):
         # n = 36: a shorter generator, and a longer one whose first 36 images are 0..35.

@@ -79,6 +79,26 @@ class TestPerm:
         with pytest.raises(ValueError):
             Perm.identity(3) * Perm.identity(4)
 
+    @given(image=st.permutations(range(7)), a=st.integers(0, 6), b=st.integers(0, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_support_is_the_moved_points(self, image, a, b):
+        moved = [x for x, y in enumerate(image) if x != y]
+        g, t = Perm(image), Perm.transposition(7, a, b)
+        assert g.support == tuple(moved)
+        assert sorted(t.support) == ([] if a == b else sorted({a, b}))
+        for h in (g * t, t * g, g.inverse(), Perm.identity(7)):
+            assert h.support == tuple(x for x, y in enumerate(h.image) if x != y)
+
+    @given(image=st.permutations(range(7)), seed=st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_declared_support_leaves_equality_and_hash_alone(self, image, seed):
+        moved = [x for x, y in enumerate(image) if x != y]
+        seed.shuffle(moved)  # a declared support may list the moved points in any order
+        declared, scanned = Perm._unchecked(tuple(image), tuple(moved)), Perm(image)
+        assert declared.support == tuple(moved)
+        assert declared == scanned and hash(declared) == hash(scanned)
+        assert repr(declared) == repr(scanned) and len({declared, scanned}) == 1
+
     def test_component_action_on_z36(self):
         # x -> x+4 and negation generate the full symmetric action on the
         # three residue classes mod 3

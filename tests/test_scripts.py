@@ -4,6 +4,7 @@ The scripts call the public API directly, so a renamed or removed name
 breaks them before anything else notices.
 """
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -84,3 +85,58 @@ def test_full_verify_reports_an_internal_error_and_goes_on(
     assert lines[1] == "n=  7: INTERNAL ERROR: orbit product 6 != chain order 7"
     assert lines[0].startswith("n=  6: ") and lines[2].startswith("n=  8: ")
     assert re.fullmatch(r"total \d+\.\ds", lines[-1])
+
+
+def test_full_verify_rejects_a_negative_oracle_bound(full_verify_script, capsys):
+    with pytest.raises(SystemExit) as exc:
+        full_verify_script.build_parser().parse_args(["2", "8", "--max-oracle-n", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --max-oracle-n: must be at least 0, got -1\n")
+
+
+@pytest.fixture
+def bench_pairs_script():
+    """``scripts/bench_pairs.py`` imported in-process as a fresh module."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs_script", REPO / "scripts" / "bench_pairs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned_run(wall: float, rss: float, failed: int = 0) -> str:
+    """Stdout of one ``bench/run.py`` run, reduced to a progress line and its result line."""
+    metrics = {"adj_wall_s": {"value": wall, "unit": "s"},
+               "peak_rss_mib": {"value": rss, "unit": "MiB"}}
+    return "pass 1 order [0]: wall 0.300 s, failed 0/3\n" + json.dumps(
+        {"correct": True, "attempted": 12, "failed": failed, "metrics": metrics}) + "\n"
+
+
+def test_bench_pairs_summary(bench_pairs_script):
+    spec = [{"name": "adj_wall_s", "better": "lower", "bound": 0.25},
+            {"name": "peak_rss_mib", "better": "lower", "bound": 0.05}]
+    parent = [0.360, 0.362, 0.364, 0.366, 0.368, 0.370, 0.372, 0.374, 0.376, 0.378]
+    # The change is faster in 9 of 10 pairs by about 0.03 s; its RSS is higher in every pair.
+    change = [w - 0.03 for w in parent[:9]] + [0.380]
+    read = bench_pairs_script.result_line
+    pairs = [{"parent": read(canned_run(p, 16.0 + k / 100)),
+              "change": read(canned_run(c, 16.1 + k / 100, failed=int(k == 3)))}
+             for k, (p, c) in enumerate(zip(parent, change))]
+    assert bench_pairs_script.summarise(pairs, spec) == [
+        "10 pairs; failed requests: parent 0/120, change 1/120",
+        "adj_wall_s (lower is better): parent 0.369 [0.3635, 0.3745], "
+        "change 0.339 [0.3335, 0.3445], -8.1%; change won 9/10; gain rule holds",
+        "peak_rss_mib (lower is better): parent 16.045 [16.0175, 16.0725], "
+        "change 16.145 [16.1175, 16.1725], +0.6%; change won 0/10; gain rule fails",
+    ]
+    # 8 wins of 10 do not make a gain, however large.
+    pairs[0]["change"] = json.loads(json.dumps(pairs[0]["parent"]))
+    assert bench_pairs_script.summarise(pairs, spec)[1].endswith("change won 8/10; gain rule fails")
+    # Nor does a median gap inside the parent's interquartile range.
+    for p in pairs:
+        wall = p["parent"]["metrics"]["adj_wall_s"]["value"]
+        p["change"]["metrics"]["adj_wall_s"]["value"] = wall - 0.001
+    summary = bench_pairs_script.summarise(pairs, spec)
+    assert summary[1].endswith("change won 10/10; gain rule fails")
