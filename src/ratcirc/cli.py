@@ -120,7 +120,7 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
         payload["order"] = value
 
     if req.include_generators or req.run_oracle:
-        gens = gwp.transport(gwp.gwp_generators(poset), poset)
+        gens = gwp.transport(_handed_over(gwp.gwp_generators(poset)), poset)
         if req.include_generators:
             payload["generators"] = _Images(g.image for g in gens)
 
@@ -147,6 +147,18 @@ def _analysis_payload(req: AnalysisRequest) -> dict:
         payload["spectrum"] = groundtruth.spectrum(graph).to_json_dict()
 
     return payload
+
+
+def _handed_over(items: list):
+    """Yield each entry of ``items``, clearing its slot first.
+
+    The consumer then holds the only reference, and an entry is freed once
+    the consumer drops it: ``transport`` holds one tuple-space generator
+    beside the transported set, not the whole tuple-space set.
+    """
+    for k in range(len(items)):
+        item, items[k] = items[k], None
+        yield item
 
 
 def _order_line(factored: dict[str, int]) -> str:

@@ -58,10 +58,11 @@ from .posets import (
     weak_iso_map,
 )
 
-# Image entries of the generating set, n per generator.  The tuple-space and
-# the transported generators are alive together, at least 16 bytes an entry,
-# so 2^27 entries need more than 2 GiB, over a 1.5 GiB address-space cap.
-# analyze 10080 --divisors 2,3,5,7,8,9 --generators (84944160) fits under it.
+# Image entries of the generating set, n per generator.  The CLI hands each
+# tuple-space generator to ``transport`` and drops it before the next one, so
+# one set is alive: 8 bytes an entry (a tuple slot; every image shares the
+# int objects of one range), so 2^27 entries need about 1.04 GiB with the
+# supports, under a 1.5 GiB address-space cap.
 MAX_GENERATOR_ENTRIES = 1 << 27
 
 
@@ -162,6 +163,10 @@ def transport(
     tuple_gens, p: WeightedPoset, verify: bool = True
 ) -> list[perms.Perm]:
     """Conjugate generators from tuple space onto Z_n via the coefficient map.
+
+    ``tuple_gens`` is iterated once and no input is kept, so a caller that
+    passes an iterator which drops each generator as it yields it holds one
+    tuple-space generator at a time beside the transported set.
 
     The image maps to_zn[x] to to_zn[g(x)]: it is written into a copy of
     the identity from g's support alone, so it costs one n-entry copy plus

@@ -76,6 +76,9 @@ class Perm:
 
     @classmethod
     def transposition(cls, n: int, a: int, b: int) -> "Perm":
+        """Swap a and b, both in 0..n-1; a == b gives the identity."""
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"transposition ({a} {b}) is not on 0..{n - 1}")
         img = list(range(n))
         img[a], img[b] = b, a
         return cls._unchecked(tuple(img))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ratcirc
-from ratcirc import Perm, cli, gwp, sring
+from ratcirc import Perm, cli, gwp, pipeline, sring
 from ratcirc.cli import AnalysisRequest, _analysis_payload, _dump_json, build_parser, main
 from ratcirc.groundtruth import CirculantGraph, spectrum
 from ratcirc.lattice import DEFAULT_MAX_ORACLE_N
@@ -186,19 +186,40 @@ class TestAnalyze:
         assert (done.returncode, done.stderr) == (0, b"")
         assert hashlib.sha256(done.stdout).hexdigest() == GENERATORS_JSON_SHA256[n, divisors]
 
-    def test_generators_json_heap_stays_small(self):
-        # 2.65 MiB of Python heap with fresh image lists and the document joined
-        # into one string; about 1.6 MiB with shared ints and streamed pieces.
-        req = AnalysisRequest(n=360, residues=None, divisor_subset=(2, 3, 5, 8, 9),
+    @staticmethod
+    def generators_json_heap_peak(n, divisors):
+        """Python heap peak of ``analyze n --divisors ... --generators --format json``."""
+        req = AnalysisRequest(n=n, residues=None, divisor_subset=divisors,
                               include_generators=True)
         with open(os.devnull, "w") as sink:
             tracemalloc.start()
             try:
                 sink.writelines(_dump_json(_analysis_payload(req)))
-                peak = tracemalloc.get_traced_memory()[1]
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 2.25 * 2 ** 20
+
+    def test_generators_json_heap_stays_small(self):
+        # 2.65 MiB of Python heap with fresh image lists and the document joined
+        # into one string; about 1.6 MiB with shared ints and streamed pieces;
+        # about 0.85 MiB with one generator set alive instead of two.
+        assert self.generators_json_heap_peak(360, (2, 3, 5, 8, 9)) < 1.25 * 2 ** 20
+
+    def test_generators_heap_holds_one_set(self):
+        # The transported set takes 8 bytes an image entry (a tuple slot; the
+        # ints are shared).  Holding the tuple-space set beside it reads
+        # about 2.2 times that; handing each over to transport, about 1.1.
+        _, _, poset = pipeline.rational_chain(720, sring.orbit_union(720, (2, 3, 5, 8, 9)))
+        count = sum(m * (w - 1) for m, w in zip(gwp.gwp_exponents(poset), poset.weights))
+        peak = self.generators_json_heap_peak(720, (2, 3, 5, 8, 9))
+        assert peak < 1.25 * 8 * 720 * count
+
+    def test_handed_over_clears_each_slot_before_yielding(self):
+        items = [object() for _ in range(3)]
+        kept = list(items)
+        for k, item in enumerate(cli._handed_over(items)):
+            assert item is kept[k] and items[:k + 1] == [None] * (k + 1)
+        assert items == [None] * 3
 
     def test_loop_rejected(self, capsys):
         code, _, err = run(capsys, "analyze", "6", "--set", "0,1")

@@ -335,6 +335,17 @@ class TestTransport:
                         assert sorted(perm._support) == moved, (n, lat.elements)
                     assert h.image == _compose(from_zn, _compose(g.image, to_zn)), (n, lat.elements)
 
+    def test_an_iterator_transports_like_a_list(self):
+        # transport reads its input once, so a caller may hand it an iterator
+        # that drops each generator; a list passed directly comes back unchanged.
+        for n in range(2, 49):
+            for lat in sublattices(n):
+                p = lattice_to_poset(lat)
+                gens = gwp_generators(p)
+                kept = list(gens)
+                assert transport(iter(gens), p) == transport(gens, p), (n, lat.elements)
+                assert list(map(id, gens)) == list(map(id, kept)), (n, lat.elements)
+
     def test_degree_mismatch(self, poset_n):
         # n = 36: a shorter generator, and a longer one whose first 36 images are 0..35.
         for g in (Perm.identity(35), Perm.transposition(37, 0, 36), Perm.identity(37)):

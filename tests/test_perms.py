@@ -79,6 +79,15 @@ class TestPerm:
         with pytest.raises(ValueError):
             Perm.identity(3) * Perm.identity(4)
 
+    @pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (0, 5), (5, 0), (5, 5), (-1, -1)])
+    def test_transposition_rejects_points_off_the_degree(self, a, b):
+        with pytest.raises(ValueError, match=rf"^transposition \({a} {b}\) is not on 0\.\.4$"):
+            Perm.transposition(5, a, b)
+
+    def test_transposition_accepts_both_ends(self):
+        assert Perm.transposition(5, 0, 4).image == (4, 1, 2, 3, 0)
+        assert Perm.transposition(5, 4, 4) == Perm.identity(5)
+
     @given(image=st.permutations(range(7)), a=st.integers(0, 6), b=st.integers(0, 6))
     @settings(max_examples=100, deadline=None)
     def test_support_is_the_moved_points(self, image, a, b):

@@ -106,9 +106,10 @@ def bench_pairs_script():
     return module
 
 
-def canned_run(wall: float, rss: float, failed: int = 0) -> str:
+def canned_run(wall: float, rss: float, failed: int = 0, rate: float = 10.0) -> str:
     """Stdout of one ``bench/run.py`` run, reduced to a progress line and its result line."""
     metrics = {"adj_wall_s": {"value": wall, "unit": "s"},
+               "adj_instances_per_s": {"value": rate, "unit": "1/s"},
                "peak_rss_mib": {"value": rss, "unit": "MiB"}}
     return "pass 1 order [0]: wall 0.300 s, failed 0/3\n" + json.dumps(
         {"correct": True, "attempted": 12, "failed": failed, "metrics": metrics}) + "\n"
@@ -140,3 +141,77 @@ def test_bench_pairs_summary(bench_pairs_script):
         p["change"]["metrics"]["adj_wall_s"]["value"] = wall - 0.001
     summary = bench_pairs_script.summarise(pairs, spec)
     assert summary[1].endswith("change won 10/10; gain rule fails")
+
+
+CLAIM_SPEC = [{"name": "adj_wall_s", "better": "lower", "bound": 0.25},
+              {"name": "adj_instances_per_s", "better": "higher", "bound": 0.25},
+              {"name": "peak_rss_mib", "better": "lower", "bound": 0.05}]
+
+
+def rss_pairs(read, wall_factor=1.0, rate_factor=1.0, rss_drop=0.7):
+    """Ten pairs in which the change's RSS is lower by ``rss_drop`` MiB and its
+    wall time and rate are the parent's times the given factors."""
+    return [{"parent": read(canned_run(0.40 + k / 1000, 16.3 + k / 1000)),
+             "change": read(canned_run((0.40 + k / 1000) * wall_factor,
+                                       16.3 - rss_drop + k / 1000, rate=10.0 * rate_factor))}
+            for k in range(10)]
+
+
+def test_bench_pairs_claim_holds(bench_pairs_script):
+    read = bench_pairs_script.result_line
+    assert bench_pairs_script.claim_faults(rss_pairs(read), CLAIM_SPEC, "peak_rss_mib") == []
+    # Other metrics may worsen within their bounds.
+    pairs = rss_pairs(read, wall_factor=1.2, rate_factor=0.8)
+    assert bench_pairs_script.claim_faults(pairs, CLAIM_SPEC, "peak_rss_mib") == []
+
+
+def test_bench_pairs_claim_fails_on_a_metric_over_its_bound(bench_pairs_script):
+    read = bench_pairs_script.result_line
+    pairs = rss_pairs(read, wall_factor=1.3, rate_factor=0.7)
+    assert bench_pairs_script.claim_faults(pairs, CLAIM_SPEC, "peak_rss_mib") == [
+        "adj_wall_s: median 30.0% worse, over its bound of 25%",
+        "adj_instances_per_s: median 30.0% worse, over its bound of 25%",
+    ]
+
+
+def test_bench_pairs_claim_fails_without_a_gain(bench_pairs_script):
+    read = bench_pairs_script.result_line
+    # Equal wall times win no pair; a drop inside the parent's IQR is no gain.
+    assert bench_pairs_script.claim_faults(rss_pairs(read), CLAIM_SPEC, "adj_wall_s") == [
+        "adj_wall_s: gain rule fails"]
+    assert bench_pairs_script.claim_faults(rss_pairs(read, rss_drop=0.001), CLAIM_SPEC,
+                                           "peak_rss_mib") == ["peak_rss_mib: gain rule fails"]
+
+
+@pytest.mark.parametrize("wall_factor, code", [(1.0, 0), (1.3, 1)])
+def test_bench_pairs_claim_sets_the_exit_code(bench_pairs_script, monkeypatch, tmp_path, capsys,
+                                              wall_factor, code):
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": CLAIM_SPEC}))
+    runs = iter(rss_pairs(bench_pairs_script.result_line, wall_factor=wall_factor))
+    pair = {}
+
+    def run_bench(root, workload, seed):
+        if not pair:
+            pair.update(next(runs))
+        return pair.pop(root.name)
+
+    monkeypatch.setattr(bench_pairs_script, "run_bench", run_bench)
+    argv = [str(tmp_path / "a"), str(tmp_path / "b"), "--workload", "w", "--claim", "peak_rss_mib"]
+    assert bench_pairs_script.main(argv) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["pair 1 parent: peak_rss_mib 16.3000", "pair 1 change: peak_rss_mib 15.6000"]
+    assert lines[-1] == ("claim peak_rss_mib: holds" if code == 0 else
+                         "claim peak_rss_mib: adj_wall_s: median 30.0% worse, over its bound of 25%")
+
+
+def test_bench_pairs_claim_must_name_an_end_to_end_metric(bench_pairs_script, tmp_path, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": CLAIM_SPEC}))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs_script.main([str(tmp_path), str(tmp_path), "--workload", "w",
+                                 "--claim", "wall_s"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --claim: 'wall_s' is not one of "
+        "adj_wall_s, adj_instances_per_s, peak_rss_mib\n")
