@@ -35,17 +35,17 @@ def full_lattice(n: int) -> DivisorLattice:
     return DivisorLattice(n, tuple(divisors(n)))
 
 
-def sublattices(n: int, max_tau: int = DEFAULT_MAX_TAU) -> list[DivisorLattice]:
+def sublattices(n: int) -> list[DivisorLattice]:
     """All sublattices of L(n) containing 1 and n, in a deterministic order.
 
     Enumerates subsets of the inner divisors with a gcd/lcm closure check,
-    so the divisor count of n is bounded to keep this tractable.
+    so the divisor count of n is bounded by ``DEFAULT_MAX_TAU``.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if tau(n) > max_tau:
+    if tau(n) > DEFAULT_MAX_TAU:
         raise BoundExceededError(
-            f"instance too large: n={n} has {tau(n)} divisors (bound {max_tau})"
+            f"instance too large: n={n} has {tau(n)} divisors (bound {DEFAULT_MAX_TAU})"
         )
     inner = [d for d in divisors(n) if d not in (1, n)]
     # {1, n} is always closed, so only an out-of-range n makes this raise.
@@ -115,7 +115,7 @@ def crested_product(l1: DivisorLattice, d: int, l2: DivisorLattice) -> DivisorLa
     if math.gcd(n1, n2 // d) != 1:
         raise ValueError(f"gcd({n1}, {n2}/{d}) must be 1")
     members = set(l2.elements)
-    members.update(x * y for x in l1.elements for y in l2.above(d).elements)
+    members.update(x * y for x in l1.elements for y in l2.above(d))
     return DivisorLattice.of(n1 * n2, members)
 
 
@@ -310,17 +310,16 @@ def validate(ring: sring.SchurRing) -> None:
     structure_constants(ring)
 
 
-def generator_subset(lat: DivisorLattice, verify: bool = True) -> frozenset[int]:
+def generator_subset(lat: DivisorLattice) -> frozenset[int]:
     """A trace-closed subset whose generated Schur ring has group basis ``lat``.
 
     Walks ``lat.peel()`` from the bottom up.  At a step (top, m, s) the set
     built so far generates the interval below m inside Z_m; it is embedded
     as the subgroup of order m in Z_top and joined by the subgroup of
     order s stripped of the one of order gcd(m, s).  The result never
-    contains 0 and is verified by closure unless disabled.
+    contains 0, and it is checked by generating its ring and reading back
+    that ring's lattice.
     """
-    if not lat.is_unital:
-        raise ValueError("lattice must contain 1")
     r: frozenset[int] = frozenset()
     for n, m, s in reversed(lat.peel()):
         # The interval below m needs a generator of Z_m on the correct side
@@ -330,12 +329,11 @@ def generator_subset(lat: DivisorLattice, verify: bool = True) -> frozenset[int]
             r = frozenset(range(1, m)) - r
         stripped = subgroup(n, s) - subgroup(n, math.gcd(m, s))
         r = frozenset(x * (n // m) % n for x in r) | stripped
-    if verify:
-        got = sring.group_basis(sring.generate_sring(lat.modulus, r)).lattice
-        if got != lat:
-            raise InternalConsistencyError(
-                f"generator subset for {lat.elements} closed to {got.elements}"
-            )
+    got = sring.group_basis(sring.generate_sring(lat.modulus, r)).lattice
+    if got != lat:
+        raise InternalConsistencyError(
+            f"generator subset for {lat.elements} closed to {got.elements}"
+        )
     return r
 
 

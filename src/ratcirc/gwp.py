@@ -284,8 +284,6 @@ class GroupExpression:
         """
         if self.kind == "sym":
             out.append((self.weight, k))
-        elif self.kind == "gwp":
-            out.extend((w, m * k) for w, m in zip(self.poset.weights, gwp_exponents(self.poset)))
         elif self.kind == "cross":
             for c in self.children:
                 c._factorial_powers(k, out)

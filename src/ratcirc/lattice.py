@@ -2,10 +2,9 @@
 
 A ``DivisorLattice`` is the classifying object for everything downstream:
 each rational circulant automorphism group corresponds to exactly one
-sublattice of the full divisor lattice L(n) containing both 1 and n.
-Interval views (``below``/``above``) are also lattices but may not reach
-down to 1, so the core invariant only requires the modulus itself to be
-present; pipeline entry points check for 1 where they need it.
+sublattice of the full divisor lattice L(n) containing both 1 and n,
+and every lattice holds both.  The interval ``below(m)`` is again such a
+lattice, on modulus m; ``above(m)`` is a tuple of members.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -52,8 +51,7 @@ def tau(n: int) -> int:
 class DivisorLattice:
     """A gcd/lcm-closed set of divisors of ``modulus``, stored ascending.
 
-    The modulus is always the top element.  The bottom element is the gcd
-    of all members (1 for the lattices classifying rational circulants).
+    1 is always the bottom element and the modulus the top element.
     """
 
     modulus: int
@@ -72,6 +70,8 @@ class DivisorLattice:
             raise ValueError(f"elements {els} must all divide the modulus {n}")
         if n not in els:
             raise ValueError("the modulus must be an element of its lattice")
+        if els[0] != 1:
+            raise ValueError("lattice must contain 1")
         present = set(els)
         for x, y in combinations(els, 2):
             if math.gcd(x, y) not in present or (x * y) // math.gcd(x, y) not in present:
@@ -91,22 +91,17 @@ class DivisorLattice:
     def __contains__(self, x: object) -> bool:
         return x in self.elements
 
-    @property
-    def is_unital(self) -> bool:
-        """True when the lattice reaches down to 1."""
-        return self.elements[0] == 1
-
     def below(self, m: int) -> "DivisorLattice":
         """The interval {x in L : x | m}, as a lattice with modulus m."""
         if m not in self.elements:
             raise ValueError(f"{m} is not a member of {self.elements}")
         return DivisorLattice(m, tuple(x for x in self.elements if m % x == 0))
 
-    def above(self, m: int) -> "DivisorLattice":
-        """The interval {x in L : m | x}, kept on the original modulus."""
+    def above(self, m: int) -> tuple[int, ...]:
+        """The members x of L with m | x, ascending: a tuple, as it misses 1 unless m is 1."""
         if m not in self.elements:
             raise ValueError(f"{m} is not a member of {self.elements}")
-        return DivisorLattice(self.modulus, tuple(x for x in self.elements if x % m == 0))
+        return tuple(x for x in self.elements if x % m == 0)
 
     def maximal_elements(self) -> tuple[int, ...]:
         """Maximal elements of L minus its top, under divisibility."""
@@ -118,8 +113,8 @@ class DivisorLattice:
 
         Each step takes m, the numerically largest maximal element of the
         current interval minus its top, and s, the least member that does
-        not divide m, then continues on the interval below m.  A unital
-        lattice ends with the step (top, 1, top) on the interval {1, top}.
+        not divide m, then continues on the interval below m.  On n > 1
+        it ends with the step (top, 1, top) on the interval {1, top}.
         That m is the interval's second-largest member: a member above it
         would be at least twice it, so only the top.  Each interval is the
         tuple of members dividing its m.

@@ -8,9 +8,13 @@ from __future__ import annotations
 
 import math
 
+from .arith import totient
 from .errors import BoundExceededError, NotRationalError
 from .lattice import DivisorLattice
 from . import posets, sring
+
+# Largest trace a rejection lists; a longer one is named by its gcd and its size.
+MAX_LISTED_TRACE = 2 ** 16
 
 
 def rational_chain(
@@ -23,7 +27,8 @@ def rational_chain(
     that is not trace-closed takes that path, and none generates a rational ring.
     The trace of x is its orbit {y : gcd(y, n) = d}, d = gcd(x, n), so it
     leaves the set exactly when that orbit is short (``sring._gcd_classes``):
-    one gcd per member finds the offender, and only its trace is built.
+    one gcd per member finds the offender, and its trace is built only when it
+    holds at most ``MAX_LISTED_TRACE`` residues.
     """
     try:
         ring = sring.generate_sring(n, connection)
@@ -32,8 +37,11 @@ def rational_chain(
         s = frozenset(x % n for x in connection)
         short = sring._gcd_classes(n, s)[1]
         offender = min(x for x in s if math.gcd(x, n) in short)
-        tr = sorted(sring.trace(n, {offender}))
-        raise NotRationalError(
-            f"not rational: trace of {{{offender}}} is {{{','.join(map(str, tr))}}}"
-        ) from None
+        d = math.gcd(offender, n)
+        size = totient(n // d)
+        if size <= MAX_LISTED_TRACE:
+            tr = "{" + ",".join(map(str, sorted(sring.trace(n, {offender})))) + "}"
+        else:
+            tr = f"{{x : gcd(x, {n}) = {d}}} ({size} residues)"
+        raise NotRationalError(f"not rational: trace of {{{offender}}} is {tr}") from None
     return ring, lat, posets.lattice_to_poset(lat)

@@ -129,14 +129,6 @@ def chain(weights) -> WeightedPoset:
     return poset_from_pairs(ws, [(i, i + 1) for i in range(len(ws) - 1)])
 
 
-def complement_weight_product(p: WeightedPoset, j: frozenset[int]) -> int:
-    out = 1
-    for i in range(p.size):
-        if i not in j:
-            out *= p.weights[i]
-    return out
-
-
 def _principal_products(p: WeightedPoset) -> tuple[int, ...]:
     """Weight product of each node's principal down-set: the lattice's r join-irreducibles."""
     return tuple(math.prod(p.weights[i] for i in p.down_set(j)) for j in range(p.size))
@@ -152,8 +144,6 @@ def lattice_to_poset(lat: DivisorLattice) -> WeightedPoset:
     n = lat.modulus
     if n < 2:
         raise ValueError("no poset for modulus 1")
-    if not lat.is_unital:
-        raise ValueError("lattice must contain 1")
     steps = lat.peel()[::-1]
     weights = tuple(top // m for top, m, _ in steps)
     irreducibles = [s for _, _, s in steps]
@@ -179,7 +169,9 @@ class TransportMap:
     """Bijection between weight tuples and Z_n given by the coefficient form.
 
     Coordinate i carries the coefficient prod of weights of all nodes not
-    below-or-equal i; a tuple maps to the coefficient-weighted sum mod n.
+    below-or-equal i: n over its principal down-set's product, the
+    join-irreducible ``_principal_products`` gives.  A tuple maps to the
+    coefficient-weighted sum mod n.
     ``points[k]`` is the image of the k-th tuple in mixed-radix order (the
     order of ``_strides``).  The point table, and with it the check that the
     map is a bijection, is built on first read of ``points``: the
@@ -189,10 +181,7 @@ class TransportMap:
     def __init__(self, poset: WeightedPoset) -> None:
         self.poset = poset
         self.n = poset.total
-        self.coefficients = tuple(
-            complement_weight_product(poset, poset.down_set(i))
-            for i in range(poset.size)
-        )
+        self.coefficients = tuple(self.n // s for s in _principal_products(poset))
         self._points: tuple[int, ...] | None = None
 
     @property

@@ -320,8 +320,6 @@ def basic_sets_from_lattice(lat: DivisorLattice) -> RationalSRing:
     is n/d on the whole orbit O_d, so ``_owners`` applies the rule once per
     divisor d.
     """
-    if not lat.is_unital:
-        raise ValueError("lattice must contain 1")
     n = lat.modulus
     ds = divisors(n)
     return RationalSRing(_orbit_ring(n, [d % n for d in ds], _owners(n, lat.elements, ds)), lat)

@@ -158,6 +158,22 @@ class TestAnalyze:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == trace_diagnostic(req.n, req.residues)
 
+    @pytest.mark.parametrize("n, size", [(4294967296, 2147483648), (720720, 138240)])
+    def test_a_long_trace_is_named_under_address_space_cap(self, tmp_path, src_env, n, size):
+        # The trace of {1} is the units of Z_n, too many to list: named by gcd and size.
+        done = run_child(tmp_path, src_env, "analyze", str(n), "--set", "1")
+        want = f"error: not rational: trace of {{1}} is {{x : gcd(x, {n}) = 1}} ({size} residues)\n"
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", want)
+        assert len(want.encode()) < 200
+
+    def test_traces_are_listed_up_to_the_bound(self, capsys):
+        # phi(2^17) = 2^16 residues are listed; phi(2^18) = 2^17 are named.
+        assert pipeline.MAX_LISTED_TRACE == 2 ** 16
+        assert run(capsys, "analyze", "131072", "--set", "1") == (
+            2, "", trace_diagnostic(131072, (1,)))
+        assert run(capsys, "analyze", "262144", "--set", "1") == (
+            2, "", "error: not rational: trace of {1} is {x : gcd(x, 262144) = 1} (131072 residues)\n")
+
     def test_spectrum_flag(self, capsys):
         code, out, _ = run(
             capsys, "analyze", "6", "--set", "1,5", "--spectrum", "--format", "json"

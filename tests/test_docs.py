@@ -7,7 +7,7 @@ import importlib
 import re
 from pathlib import Path
 
-from ratcirc import claims, gwp, lattice, sring
+from ratcirc import claims, gwp, lattice, pipeline, sring
 from ratcirc.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -20,6 +20,7 @@ BOUNDS = {
     "gwp.MAX_GENERATOR_ENTRIES": gwp.MAX_GENERATOR_ENTRIES,
     "sring.MAX_POINT_N": sring.MAX_POINT_N,
     "sring.MAX_POINT_PAIRS": sring.MAX_POINT_PAIRS,
+    "pipeline.MAX_LISTED_TRACE": pipeline.MAX_LISTED_TRACE,
 }
 
 

@@ -84,7 +84,7 @@ def reference_decompose_lattice(lat):
     ]
     if pivots:
         k = max(pivots)
-        quotient = DivisorLattice.of(n // k, (x // k for x in lat.above(k).elements))
+        quotient = DivisorLattice.of(n // k, (x // k for x in lat.above(k)))
         top = reference_decompose_lattice(quotient)
         bottom = reference_decompose_lattice(lat.below(k))
         if top is None or bottom is None:

@@ -109,18 +109,18 @@ class TestIntervals:
         assert striking_lattice.below(1).elements == (1,)
 
     def test_above(self, striking_lattice):
-        assert striking_lattice.above(6).elements == (6, 12, 18, 36)
+        assert striking_lattice.above(6) == (6, 12, 18, 36)
 
     def test_non_member_rejected(self, striking_lattice):
         with pytest.raises(ValueError):
             striking_lattice.below(9)
 
     def test_intervals_stay_valid_everywhere(self):
-        for n in (12, 36, 40):
+        for n in range(1, 61):
             for L in sublattices(n):
                 for m in L:
-                    L.below(m)
-                    L.above(m)  # constructors validate the invariants
+                    L.below(m)  # the constructor validates the invariants
+                    assert L.above(m) == tuple(x for x in L if x % m == 0), (L.elements, m)
 
 
 class TestPeel:
@@ -187,6 +187,14 @@ class TestValidation:
     def test_requires_modulus_member(self):
         with pytest.raises(ValueError):
             DivisorLattice(12, (1, 2, 4))
+
+    @pytest.mark.parametrize("call", [
+        lambda: DivisorLattice(4, (2, 4)),
+        lambda: DivisorLattice.of(12, [2, 12]),
+    ], ids=["DivisorLattice", "DivisorLattice.of"])
+    def test_requires_one(self, call):
+        with pytest.raises(ValueError, match=r"^lattice must contain 1$"):
+            call()
 
     @pytest.mark.parametrize("call", [
         lambda: DivisorLattice(6, (0, 6)),

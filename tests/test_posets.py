@@ -30,7 +30,7 @@ from ratcirc import (
     trivial_lattice,
     weak_iso_map,
 )
-from ratcirc.posets import _N_PATTERN, complement_weight_product, find_n_subposet
+from ratcirc.posets import _N_PATTERN, find_n_subposet
 
 
 def to_point(tm, t):
@@ -44,6 +44,11 @@ def reference_find_n_subposet(p):
         if all(p.leq[quad[a]][quad[b]] == _N_PATTERN[a][b] for a in range(4) for b in range(4)):
             return quad
     return None
+
+
+def complement_weight_product(p, j):
+    """Product of the weights of the nodes outside j."""
+    return math.prod(w for i, w in enumerate(p.weights) if i not in j)
 
 
 def reference_poset_to_lattice(p):
@@ -179,7 +184,7 @@ class TestBirkhoffDictionary:
         for n in range(2, 301):
             if tau(n) > 10:
                 continue
-            for lat in sublattices(n, max_tau=10):
+            for lat in sublattices(n):
                 p = lattice_to_poset(lat)
                 assert p == reference_lattice_to_poset(lat), lat.elements
                 assert poset_to_lattice(p) == reference_poset_to_lattice(p) == lat
@@ -238,7 +243,11 @@ class TestWeakIsoMap:
     def test_bijective_for_all_small_posets(self):
         for n in range(2, 61):
             for lat in sublattices(n):
-                tm = weak_iso_map(lattice_to_poset(lat))
+                p = lattice_to_poset(lat)
+                tm = weak_iso_map(p)
+                # Node i's coefficient: the product of the weights outside its principal down-set.
+                assert tm.coefficients == tuple(
+                    complement_weight_product(p, p.down_set(i)) for i in range(p.size))
                 tm.points  # the point table raises when the map is not bijective
                 tuples = product(*(range(w) for w in tm.poset.weights))
                 for k, t in enumerate(tuples):

@@ -98,3 +98,50 @@ def test_numpy_is_imported_only_by_groundtruth_and_claims():
                 if any(n.split(".")[0] == "numpy" for n in names):
                     importers.add(path.stem)
     assert importers == {"claims", "groundtruth"}
+
+
+# Every defaulted parameter of a function or method in src/ratcirc, with the
+# caller outside the tests that sets it, or why it stays.  An option that only
+# the tests set is not kept: a new one needs an entry here, with its reason.
+OPTIONS = {
+    "claims.complement_identity_check(m)": "the paper states the identity for every maximal m "
+                                           "of L minus its top; omitted, the first peel step's",
+    "cli.main(argv)": "bench/child.py passes a request's arguments; omitted, sys.argv, as "
+                      "`python -m ratcirc.cli` runs it",
+    "groundtruth.brute_force_aut(max_n)": "cli's --max-oracle-n and oracle.full_verify set it",
+    "gwp.gwp_generators(max_degree)": "ignored; kept only for bench/baseline.py, which passes it "
+                                      "(ROADMAP item 1)",
+    "gwp.transport(verify)": "claims.schurity_check, scripts/group_census.py and "
+                             "bench/baseline.py set it",
+    "oracle.full_verify(use_oracle)": "cli's `enumerate --verify` and scripts/full_verify.py set it",
+    "perms.Perm._unchecked(support)": "gwp.gwp_generators and gwp.transport pass the moved "
+                                      "points they wrote the image from",
+    "perms.PermutationGroup.__init__(generators)": "public constructor: omitted, the trivial group "
+                                                   "of the given degree",
+}
+
+
+def defaulted_parameters() -> set[str]:
+    """``module.qualname(parameter)`` of every parameter with a default value."""
+    found = set()
+
+    def visit(module: str, node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                named = positional[len(positional) - len(a.defaults):]
+                named += [k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                found.update(f"{module}.{prefix}{child.name}({p.arg})" for p in named)
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(module, child, f"{prefix}{child.name}.")
+            else:
+                visit(module, child, prefix)
+
+    for path in SRC.glob("*.py"):
+        visit(path.stem, ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_every_option_is_in_the_census():
+    assert sorted(defaulted_parameters()) == sorted(OPTIONS)
